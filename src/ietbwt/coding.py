@@ -97,6 +97,8 @@ def language_of_periodic(word: str, bound: int) -> LanguageSample:
     """Factors of the periodic sequence word^w, up to the bound."""
     if not word:
         raise DomainError("empty word")
+    if bound < 0:
+        raise DomainError("depth must be non-negative")
     reps = word * (bound // len(word) + 2)
     words = {""}
     for n in range(1, bound + 1):

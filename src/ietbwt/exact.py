@@ -35,12 +35,12 @@ def _squarefree_part(d: int) -> tuple[int, int]:
                 f *= p
         p += 1 if p == 2 else 2
     if m > 1:
-        if m > _TRIAL_LIMIT:
+        if p * p <= m:
             raise DomainError(
                 "cannot normalize radicand %d: cofactor %d has prime factors above %d"
                 % (d, m, _TRIAL_LIMIT)
             )
-        f *= m  # remaining cofactor below the bound is prime
+        f *= m  # trial division passed sqrt(m), so the cofactor is prime
     return s, f
 
 
@@ -260,7 +260,10 @@ def parse_value(text: str) -> FieldValue:
         m = _TERM.match(term)
         if not m or (m.group(2) is None and m.group(3) is None):
             raise DomainError("cannot parse term %r in %r" % (term, text))
-        coef = Fraction(m.group(2)) if m.group(2) is not None else Fraction(1)
+        try:
+            coef = Fraction(m.group(2)) if m.group(2) is not None else Fraction(1)
+        except ZeroDivisionError:
+            raise DomainError("zero denominator in %r" % text) from None
         if m.group(1) == "-":
             coef = -coef
         if m.group(3) is None:

@@ -2,14 +2,18 @@
 length comparisons, splitting along invariant blocks, circular reordering,
 admissibility windows, and the driver that induces onto a cylinder.
 
-Every step is built geometrically as a first-return map of a declared
-partition of the sub-domain; the classical row and substitution formulas
-are asserted against the geometric result rather than trusted.
+Every right step is built geometrically as a first-return map of a
+declared partition of the sub-domain; the classical row and substitution
+formulas are checked against the geometric result rather than trusted, in
+every build.  A left step is a right step of the mirrored map (x -> -x
+reverses the alphabet and the row), mirrored back, so one construction
+builds and checks all six step kinds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional
 
 from .alphabet import Perm
@@ -22,7 +26,7 @@ from .coding import (
     make_alpha_tilde,
     make_inclusion,
 )
-from .errors import CapExceeded, DomainError
+from .errors import CapExceeded, DomainError, check
 from .exact import FieldValue, ZERO, compare
 from .iet import Iet, Interval
 
@@ -82,9 +86,9 @@ def _induced_from_partition(t: Iet, lo, hi, pieces, walk_cap: int = 16):
     pieces = sorted(pieces, key=lambda p: p[1])
     acc = lo
     for _, plo, width in pieces:
-        assert plo == acc, "pieces do not tile the sub-domain"
+        check(plo == acc, "pieces do not tile the sub-domain")
         acc = plo + width
-    assert acc == hi, "pieces do not tile the sub-domain"
+    check(acc == hi, "pieces do not tile the sub-domain")
     landings = []
     itineraries = {}
     lengths = {}
@@ -93,7 +97,7 @@ def _induced_from_partition(t: Iet, lo, hi, pieces, walk_cap: int = 16):
         word = []
         for _ in range(walk_cap):
             a = t.letter_at(cur)
-            assert cur + width <= t.interval(a)[1], "piece does not move rigidly"
+            check(cur + width <= t.interval(a)[1], "piece does not move rigidly")
             word.append(a)
             cur = cur + t.translation(a)
             if lo <= cur and cur + width <= hi:
@@ -106,9 +110,9 @@ def _induced_from_partition(t: Iet, lo, hi, pieces, walk_cap: int = 16):
     landings.sort(key=lambda p: p[0])
     acc = lo
     for pos, letter in landings:
-        assert pos == acc, "landings do not tile the sub-domain"
+        check(pos == acc, "landings do not tile the sub-domain")
         acc = pos + lengths[letter]
-    assert acc == hi, "landings do not tile the sub-domain"
+    check(acc == hi, "landings do not tile the sub-domain")
     letters = tuple(p[0] for p in pieces)
     row = tuple(letter for _, letter in landings)
     t2 = Iet(letters, lengths, Perm(letters, row), origin=lo)
@@ -159,66 +163,33 @@ def right_step(t: Iet) -> StepRecord:
         pieces = [(x, t.left(x), t.lengths[x]) for x in new_order]
         expected_row = tuple(pk if y == last else y for y in t.perm.images[:-1])
         declared = make_alpha(new_order, pk, last, target=t.alphabet)
-    assert (lo, new_hi) == z_interval(t)
+    check((lo, new_hi) == z_interval(t), "step window differs from z_interval")
     t2, itineraries = _induced_from_partition(t, lo, new_hi, pieces)
-    assert t2.alphabet.letters == tuple(new_order)
-    assert t2.perm.images == expected_row
+    check(t2.alphabet.letters == tuple(new_order), "induced alphabet order differs")
+    check(t2.perm.images == expected_row, "induced row differs from the Rauzy row")
     morphism = LetterMorphism(new_order, t.alphabet, itineraries)
-    assert morphism.rules == declared.rules
+    check(morphism.rules == declared.rules, "itineraries differ from the substitution")
     return StepRecord(kind, t, t2, morphism)
+
+
+def _reflect(t: Iet) -> Iet:
+    """The mirror image under x -> -x: alphabet and row reversed, domain
+    [-hi, -lo).  Reflection keeps time direction, so codings carry over."""
+    letters = t.alphabet.letters[::-1]
+    perm = Perm(letters, t.perm.images[::-1])
+    return Iet(letters, t.lengths, perm, origin=-t.domain()[1])
 
 
 def left_step(t: Iet) -> StepRecord:
-    """Mirror image of right_step: cut at the leftmost discontinuity."""
+    """Mirror image of right_step: cut at the leftmost discontinuity, as the
+    right step of the reflected map, reflected back with the same rules."""
     letters = t.alphabet.letters
-    if len(letters) < 2:
-        raise DomainError("need at least two letters to step")
-    first = letters[0]
-    p1 = t.perm.images[0]
-    if p1 == first:
+    if len(letters) > 1 and t.perm.images[0] == letters[0]:
         raise DomainError("left step blocked: first slot holds its own letter")
-    lo, r = t.domain()
-    l1, lb = t.lengths[first], t.lengths[p1]
-    c = compare(l1, lb)
-    if c > 0:
-        kind = "left_top"
-        new_lo = lo + lb
-        new_order = letters
-        pieces = [(first, new_lo, l1 - lb)]
-        pieces.extend((x, t.left(x), t.lengths[x]) for x in letters[1:])
-        trimmed = list(t.perm.images[1:])
-        i = trimmed.index(first)
-        expected_row = tuple(trimmed[:i] + [p1] + trimmed[i:])
-        declared = make_alpha(new_order, p1, first, target=t.alphabet)
-    elif c < 0:
-        kind = "left_bottom"
-        new_lo = lo + l1
-        rest = letters[1:]
-        j = rest.index(p1)
-        new_order = rest[:j] + (first,) + rest[j:]
-        pieces = []
-        for x in rest:
-            if x == p1:
-                pieces.append((first, t.left(p1), l1))
-                pieces.append((p1, t.left(p1) + l1, lb - l1))
-            else:
-                pieces.append((x, t.left(x), t.lengths[x]))
-        expected_row = t.perm.images
-        declared = make_alpha_tilde(new_order, first, p1, target=t.alphabet)
-    else:
-        kind = "left_merge"
-        new_lo = lo + l1
-        new_order = letters[1:]
-        pieces = [(x, t.left(x), t.lengths[x]) for x in new_order]
-        expected_row = tuple(p1 if y == first else y for y in t.perm.images[1:])
-        declared = make_alpha(new_order, p1, first, target=t.alphabet)
-    assert (new_lo, r) == y_interval(t)
-    t2, itineraries = _induced_from_partition(t, new_lo, r, pieces)
-    assert t2.alphabet.letters == tuple(new_order)
-    assert t2.perm.images == expected_row
-    morphism = LetterMorphism(new_order, t.alphabet, itineraries)
-    assert morphism.rules == declared.rules
-    return StepRecord(kind, t, t2, morphism)
+    rec = right_step(_reflect(t))
+    after = _reflect(rec.after)
+    morphism = LetterMorphism(after.alphabet, t.alphabet, rec.morphism.rules)
+    return StepRecord(rec.kind.replace("right_", "left_"), t, after, morphism)
 
 
 def split(t: Iet, block) -> tuple[tuple[Iet, StepRecord], tuple[Iet, StepRecord]]:
@@ -391,9 +362,8 @@ def induce_to_cylinder(t: Iet, word: str, max_steps: int = 200) -> InductionChai
     for ch in word:
         t.alphabet.index(ch)
     target = cylinders(t, len(word)).interval(word)
-    morphism = identity_morphism(t.alphabet)
     if word == "":
-        return InductionChain(t, word, target, (), t, morphism)
+        return InductionChain(t, word, target, (), t, identity_morphism(t.alphabet))
     tlo, thi = target
     cur = t
     records = []
@@ -413,14 +383,13 @@ def induce_to_cylinder(t: Iet, word: str, max_steps: int = 200) -> InductionChai
         if exact is not None:
             (cur, rec), _ = split(cur, exact)
             records.append(rec)
-            morphism = compose(morphism, rec.morphism)
             continue
         _, zhi = z_interval(cur)
         ylo, _ = y_interval(cur)
         if thi <= zhi:
             side, ext = "right", cur.alphabet.letters[-1]
         else:
-            assert tlo >= ylo, "cylinder escapes both induction windows"
+            check(tlo >= ylo, "cylinder escapes both induction windows")
             side, ext = "left", cur.alphabet.letters[0]
         avoiding = [
             b for b in blocks if _disjoint(cur.block_interval(b), (tlo, thi))
@@ -430,7 +399,6 @@ def induce_to_cylinder(t: Iet, word: str, max_steps: int = 200) -> InductionChai
             bhi = cur.block_interval(b)[1]
             _, (cur, rec) = split(cur, b)
             records.append(rec)
-            morphism = compose(morphism, rec.morphism)
             if rec.glue is not None and tlo >= bhi:
                 gap = rec.glue[1]
                 tlo, thi = tlo - gap, thi - gap
@@ -438,7 +406,9 @@ def induce_to_cylinder(t: Iet, word: str, max_steps: int = 200) -> InductionChai
             continue
         rec = right_step(cur) if side == "right" else left_step(cur)
         records.append(rec)
-        morphism = compose(morphism, rec.morphism)
         cur = rec.after
     final = cur.translate(back_shift)
+    morphism = reduce(
+        compose, (r.morphism for r in records), identity_morphism(t.alphabet)
+    )
     return InductionChain(t, word, target, tuple(records), final, morphism)

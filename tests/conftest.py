@@ -100,3 +100,24 @@ def random_rational_iet(rng: random.Random, k: int, steppable: bool = False) -> 
             continue
         lengths = {x: make_rational(n, den) for x, n in zip(letters, nums)}
         return Iet(letters, lengths, "".join(row))
+
+
+def random_quadratic_iet(rng: random.Random, k: int) -> Iet:
+    """Random IET with lengths and origin in Q(sqrt(5)), steppable on both
+    sides (neither extreme image slot holds its own domain letter)."""
+    from ietbwt.alphabet import Alphabet
+
+    letters = Alphabet.first(k).letters
+
+    def value():
+        return fv(Fraction(rng.randint(-9, 9), 6), Fraction(rng.randint(-3, 3), 4), 5)
+
+    def length():
+        v = value()
+        return v if v.sign() > 0 else length()
+
+    row = list(letters)
+    while row[-1] == letters[-1] or row[0] == letters[0]:
+        rng.shuffle(row)
+    lengths = {x: length() for x in letters}
+    return Iet(letters, lengths, "".join(row), origin=value())

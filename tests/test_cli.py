@@ -210,6 +210,16 @@ def test_domain_error_exits_1(capsys):
     code, _, err = run(capsys, ["bwt", "banana", "--order", "ab"])
     assert code == 1
     assert "error" in err
+    for source in (["--periodic", "ab"], ["--diet", "4,2,1/cba"]):
+        code, out, err = run(capsys, ["language"] + source + ["--depth", "-1"])
+        assert (code, out) == (1, "")
+        assert "depth must be non-negative" in err
+
+
+def test_zero_denominator_exits_1(capsys):
+    code, _, err = run(capsys, ["info", "--lengths", "a=1/0,b=1", "--row", "ba"])
+    assert code == 1
+    assert err.startswith("error:")
 
 
 def test_missing_iet_exits_1(capsys):

@@ -85,6 +85,11 @@ class TestCanonicalization:
         with pytest.raises(DomainError):
             make_quadratic(0, 1, 2305843009213693951)
 
+    def test_prime_radicand_above_trial_limit(self):
+        assert make_quadratic(0, 1, 1000003).d == 1000003
+        with pytest.raises(DomainError):
+            make_quadratic(0, 1, 1000003 * 1000033)
+
 
 class TestArithmetic:
     def test_sqrt5_squared(self):
@@ -197,6 +202,11 @@ class TestParsing:
 
     def test_rejections(self):
         for bad in ["", "0.5", "1//2", "x", "sqrt(", "1+", "--2", "sqrt(2)+sqrt(3)"]:
+            with pytest.raises(DomainError):
+                parse_value(bad)
+
+    def test_zero_denominator_rejected(self):
+        for bad in ["1/0", "2 + 1/0*sqrt(5)"]:
             with pytest.raises(DomainError):
                 parse_value(bad)
 

@@ -1,9 +1,13 @@
 """Induction steps, splits, admissibility windows, and cylinder chains."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import ietbwt
 from ietbwt.coding import left_return_words, language
 from ietbwt.errors import CapExceeded, DomainError
 from ietbwt.exact import make_rational
@@ -22,7 +26,7 @@ from ietbwt.induction import (
     z_interval,
 )
 
-from conftest import fv, random_rational_iet
+from conftest import fv, random_quadratic_iet, random_rational_iet
 
 
 def _samples(lo, hi, n=5):
@@ -99,6 +103,50 @@ def test_right_step_rational2_is_top(rational2):
     _check_step(rec)
 
 
+def test_left_step_quadratic_top():
+    lengths = {
+        "a": fv(Fraction(-1, 2), Fraction(1, 2), 5),
+        "b": fv(Fraction(1, 5)),
+        "c": fv(Fraction(3, 2), Fraction(-1, 2), 5),
+        "d": fv(Fraction(1, 4)),
+    }
+    t = Iet("abcd", lengths, "dbca", origin=fv(Fraction(1, 2), Fraction(1, 3), 5))
+    rec = left_step(t)
+    assert rec.kind == "left_top"
+    assert rec.before is t
+    assert rec.after.alphabet.letters == ("a", "b", "c", "d")
+    assert rec.after.perm.one_line() == "bcda"
+    assert rec.after.domain() == (
+        fv(Fraction(3, 4), Fraction(1, 3), 5),
+        fv(Fraction(39, 20), Fraction(1, 3), 5),
+    )
+    assert rec.after.lengths["a"] == fv(Fraction(-3, 4), Fraction(1, 2), 5)
+    assert rec.morphism.rules == {"a": "a", "b": "b", "c": "c", "d": "da"}
+    _check_step(rec)
+
+
+def test_left_step_quadratic_bottom():
+    lengths = {
+        "a": fv(Fraction(1, 5)),
+        "b": fv(Fraction(-1, 2), Fraction(1, 2), 5),
+        "c": fv(Fraction(3, 2), Fraction(-1, 2), 5),
+        "d": fv(Fraction(1, 3)),
+    }
+    t = Iet("abcd", lengths, "cadb", origin=fv(0, Fraction(1, 4), 5))
+    rec = left_step(t)
+    assert rec.kind == "left_bottom"
+    assert rec.after.alphabet.letters == ("b", "a", "c", "d")
+    assert rec.after.perm.one_line() == "cadb"
+    assert rec.after.domain() == (
+        fv(Fraction(1, 5), Fraction(1, 4), 5),
+        fv(Fraction(23, 15), Fraction(1, 4), 5),
+    )
+    assert rec.after.lengths["c"] == fv(Fraction(13, 10), Fraction(-1, 2), 5)
+    assert rec.morphism.rules == {"b": "b", "a": "ca", "c": "c", "d": "d"}
+    assert str(rec.morphism.source) == "bacd"
+    _check_step(rec)
+
+
 def test_blocked_steps_raise():
     t = Iet(
         ("a", "b"),
@@ -115,10 +163,52 @@ def test_random_steps_are_sound():
     import random
 
     rng = random.Random(97)
-    for _ in range(25):
-        t = random_rational_iet(rng, rng.choice((3, 4, 5)), steppable=True)
+    family = [
+        random_rational_iet(rng, rng.choice((3, 4, 5)), steppable=True)
+        for _ in range(25)
+    ]
+    family += [random_quadratic_iet(rng, rng.choice((3, 4, 5))) for _ in range(12)]
+    # non-minimal: a reducible row and an interior block {d} (c and e tie)
+    ce = fv(Fraction(3, 2), Fraction(-1, 2), 5)
+    lengths = {
+        "a": fv(-2, 1, 5),
+        "b": fv(Fraction(1, 3)),
+        "c": ce,
+        "d": fv(Fraction(1, 5), Fraction(1, 10), 5),
+        "e": ce,
+    }
+    origin = fv(Fraction(-1, 3), Fraction(1, 2), 5)
+    reducible = Iet("abcde", lengths, "baedc", origin=origin)
+    assert set(reducible.invariant_blocks()) == {("a", "b"), ("c", "d", "e"), ("d",)}
+    family.append(reducible)
+    for t in family:
         _check_step(right_step(t), samples_per_letter=3)
         _check_step(left_step(t), samples_per_letter=3)
+
+
+def test_soundness_checks_survive_optimize():
+    """Under python -O bare asserts vanish; the step checks must not."""
+    code = "\n".join(
+        [
+            "from ietbwt.errors import InvariantError",
+            "from ietbwt.exact import make_rational as r",
+            "from ietbwt.iet import Iet",
+            "from ietbwt.induction import _induced_from_partition",
+            "t = Iet('ab', {'a': r(1, 2), 'b': r(1, 2)}, 'ba')",
+            "try:",
+            "    _induced_from_partition(t, r(0), r(1, 2), [('a', r(0), r(1, 4))])",
+            "except InvariantError as exc:",
+            "    print(__debug__, exc)",
+        ]
+    )
+    src = os.path.dirname(os.path.dirname(ietbwt.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False pieces do not tile the sub-domain"
 
 
 # -- splits --------------------------------------------------------------
