@@ -164,6 +164,15 @@ class FieldValue:
 
     # -- comparisons -----------------------------------------------------
 
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.p == other.p and self.q == other.q and self.d == other.d
+
+    def __hash__(self):
+        return hash(self.p) if self.d == 0 else hash((self.p, self.q, self.d))
+
     def __lt__(self, other):
         return (self - self._coerce(other)).sign() < 0
 

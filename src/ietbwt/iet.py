@@ -251,6 +251,10 @@ def iet_from_json(obj: dict) -> Iet:
         perm_raw = obj["permutation"]
     except KeyError as exc:
         raise DomainError("missing field %s" % exc) from exc
+    if not isinstance(alphabet, (str, list)):
+        raise DomainError("alphabet must be a string or a list, got %r" % (alphabet,))
+    if not isinstance(lengths_raw, dict):
+        raise DomainError("lengths must be an object, got %r" % (lengths_raw,))
     lengths = {x: value_from_json(v) for x, v in lengths_raw.items()}
     origin = value_from_json(obj.get("origin", "0"))
     perm = Perm.from_json(alphabet, perm_raw)

@@ -2,6 +2,9 @@
 representatives, clustering permutations and their transport along
 elementary substitutions.
 
+A substitution is a coding.LetterMorphism, the type induction steps emit.
+It is used here by duck typing, since importing coding would be circular.
+
 A word is "pi-clustering" for a letter order and a permutation pi of that
 order when the transform output is the concatenation, over the order, of
 one run per letter: the run at position x consists of pi(x) repeated as
@@ -13,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import combinations, groupby
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .alphabet import Alphabet, Perm
 from .errors import DomainError
@@ -107,6 +110,8 @@ def primitive_root(word: str) -> str:
 
 def lyndon_representative(word: str, order: OrderLike = None) -> str:
     """Least rotation under the letter order."""
+    if not word:
+        raise DomainError("empty word")
     base = _resolve_order(order, word)
     index = {ch: i for i, ch in enumerate(base)}
     return min(rotations(word), key=lambda s: tuple(index[ch] for ch in s))
@@ -182,96 +187,60 @@ def infer_clustering_permutation(
 # -- transport of clustering pairs along substitutions ------------------
 
 
-@dataclass(frozen=True)
-class MorphismStep:
-    """One elementary substitution: a letter rename, a -> ab, a -> ba, or
-    an inclusion adding unused letters.  For a -> ab with b a fresh letter,
-    place says which end of the order receives b."""
-
-    kind: str
-    a: Optional[str] = None
-    b: Optional[str] = None
-    rename: Optional[tuple[tuple[str, str], ...]] = None
-    fresh: Optional[tuple[str, ...]] = None
-    place: Optional[str] = None
-
-
-def rename_step(mapping: dict[str, str]) -> MorphismStep:
-    if len(set(mapping.values())) != len(mapping):
-        raise DomainError("rename is not injective")
-    return MorphismStep("rename", rename=tuple(sorted(mapping.items())))
-
-
-def alpha_step(a: str, b: str, place: Optional[str] = None) -> MorphismStep:
-    if a == b:
-        raise DomainError("substitution letters must differ")
-    return MorphismStep("alpha", a=a, b=b, place=place)
-
-
-def alpha_tilde_step(a: str, b: str) -> MorphismStep:
-    if a == b:
-        raise DomainError("substitution letters must differ")
-    return MorphismStep("alpha_tilde", a=a, b=b)
-
-
-def inclusion_step(fresh: Iterable[str]) -> MorphismStep:
-    return MorphismStep("inclusion", fresh=tuple(fresh))
-
-
-def apply_step_to_word(step: MorphismStep, word: str) -> str:
-    if step.kind == "rename":
-        table = dict(step.rename)
-        try:
-            return "".join(table[ch] for ch in word)
-        except KeyError as exc:
-            raise DomainError("rename does not cover letter %s" % exc) from exc
-    if step.kind == "alpha":
-        return word.replace(step.a, step.a + step.b)
-    if step.kind == "alpha_tilde":
-        return word.replace(step.a, step.b + step.a)
-    if step.kind == "inclusion":
-        return word
-    raise DomainError("unknown step kind %r" % step.kind)
-
-
 def _adjacent(seq: Sequence[str], first: str, second: str) -> bool:
     i = seq.index(first)
     return i + 1 < len(seq) and seq[i + 1] == second
 
 
 def clustering_transport(
-    order: OrderLike, perm: Perm, step: MorphismStep
+    order: OrderLike, perm: Perm, phi
 ) -> tuple[tuple[str, ...], Perm]:
-    """Push a clustering pair (order, permutation) through one substitution.
+    """Push a clustering pair (order, permutation) through one elementary
+    letter morphism phi, whose kind is read from its rules: all letters
+    fixed is an inclusion (fresh target letters join the order's end),
+    single-letter images are a rename, and one image a+b or b+a with the
+    rest fixed is a -> ab or a -> ba.  A fresh b in a -> ab goes to the end
+    of the order at which phi.target holds it.
 
-    If a word is clustering for the input pair, its image under the step is
-    clustering for the returned pair.  Raises DomainError when the step's
-    side condition does not hold for this pair."""
+    If a word is clustering for the input pair, phi(word) is clustering for
+    the returned pair.  Raises DomainError when phi is not elementary or
+    the step's side condition does not hold for this pair."""
     base = tuple(order)
     if perm.letters != base:
         raise DomainError("permutation base does not match the order")
+    rules = phi.rules
+    if set(rules) != set(base):
+        raise DomainError("substitution source must be the order's letters")
     row = perm.images
+    moved = [x for x in base if rules[x] != x]
 
-    if step.kind == "rename":
-        table = dict(step.rename)
-        if set(table) != set(base):
-            raise DomainError("rename must cover the order exactly")
-        order2 = tuple(table[x] for x in base)
-        return order2, Perm(order2, tuple(table[y] for y in row))
+    if not moved:
+        fresh = tuple(y for y in phi.target if y not in rules)
+        order2 = base + fresh
+        return order2, Perm(order2, row + fresh)
 
-    if step.kind == "alpha":
-        a, b = step.a, step.b
-        if a not in base:
-            raise DomainError("letter %r not in order" % a)
+    if all(len(rules[x]) == 1 for x in base):
+        order2 = tuple(rules[x] for x in base)
+        if len(set(order2)) != len(order2):
+            raise DomainError("rename is not injective")
+        return order2, Perm(order2, tuple(rules[y] for y in row))
+
+    a = moved[0]
+    image = rules[a]
+    if len(moved) != 1 or len(image) != 2 or a not in image or image == a + a:
+        raise DomainError("not an elementary substitution: %r" % (phi,))
+
+    if image[0] == a:
+        b = image[1]
         if b not in base:
-            if step.place not in ("front", "back"):
-                raise DomainError("fresh letter needs place 'front' or 'back'")
             sub = tuple(b if y == a else y for y in row)
-            if step.place == "back":
+            if phi.target[-1] == b:
                 order2 = base + (b,)
                 return order2, Perm(order2, sub + (a,))
-            order2 = (b,) + base
-            return order2, Perm(order2, (a,) + sub)
+            if phi.target[0] == b:
+                order2 = (b,) + base
+                return order2, Perm(order2, (a,) + sub)
+            raise DomainError("fresh letter %r must sit at an end of the target" % b)
         if b == base[0]:
             if not _adjacent(row, a, b):
                 raise DomainError("row must place %r right before %r" % (a, b))
@@ -282,27 +251,15 @@ def clustering_transport(
             return base, Perm(base, tuple(y for y in row if y != a) + (a,))
         raise DomainError("letter %r must sit at an end of the order" % b)
 
-    if step.kind == "alpha_tilde":
-        a, b = step.a, step.b
-        if a not in base or b not in base:
-            raise DomainError("both letters must be in the order")
-        if row[0] == b:
-            if not _adjacent(base, a, b):
-                raise DomainError("order must place %r right before %r" % (a, b))
-            order2 = (a,) + tuple(x for x in base if x != a)
-            return order2, Perm(order2, row)
-        if row[-1] == b:
-            if not _adjacent(base, b, a):
-                raise DomainError("order must place %r right before %r" % (b, a))
-            order2 = tuple(x for x in base if x != a) + (a,)
-            return order2, Perm(order2, row)
-        raise DomainError("letter %r must sit at an end of the row" % b)
-
-    if step.kind == "inclusion":
-        fresh = step.fresh or ()
-        if set(fresh) & set(base) or len(set(fresh)) != len(fresh):
-            raise DomainError("inclusion letters must be new and distinct")
-        order2 = base + fresh
-        return order2, Perm(order2, row + fresh)
-
-    raise DomainError("unknown step kind %r" % step.kind)
+    b = image[0]
+    if row[0] == b:
+        if not _adjacent(base, a, b):
+            raise DomainError("order must place %r right before %r" % (a, b))
+        order2 = (a,) + tuple(x for x in base if x != a)
+        return order2, Perm(order2, row)
+    if row[-1] == b:
+        if not _adjacent(base, b, a):
+            raise DomainError("order must place %r right before %r" % (b, a))
+        order2 = tuple(x for x in base if x != a) + (a,)
+        return order2, Perm(order2, row)
+    raise DomainError("letter %r must sit at an end of the row" % b)

@@ -25,7 +25,16 @@ from ietbwt.extgraph import (
     periodic_clustering_report,
 )
 from ietbwt.iet import Iet, diet_action, diet_lyndon_multiset, diet_spec, diet_to_iet
-from ietbwt.coding import cylinders, diet_language, language, trajectory
+from ietbwt.coding import (
+    cylinders,
+    diet_language,
+    language,
+    make_alpha,
+    make_alpha_tilde,
+    make_inclusion,
+    make_rename,
+    trajectory,
+)
 from ietbwt.induction import (
     first_return_point,
     induce_to_cylinder,
@@ -38,20 +47,15 @@ from ietbwt.verify import (
     verify_return_clustering,
 )
 from ietbwt.words import (
-    alpha_step,
-    alpha_tilde_step,
-    apply_step_to_word,
     bwt,
     clustering_transport,
     ebwt,
-    inclusion_step,
     infer_clustering_permutation,
     is_clustering,
     is_pi_clustering,
     is_primitive,
     parikh,
     primitive_root,
-    rename_step,
 )
 
 SEED = 20260823
@@ -196,15 +200,21 @@ def test_criterion_06_primitivity_preservation():
         present = sorted(set(w))
         a = rng.choice(present)
         b = rng.choice([x for x in "abcd" if x != a])
-        steps = (
-            rename_step(dict(zip(present, rng.sample(present, len(present))))),
-            alpha_step(a, b, None if b in present else rng.choice(("front", "back"))),
-            alpha_tilde_step(a, b),
-            inclusion_step(("z",)),
+        shuffled = rng.sample(present, len(present))
+        if b in present:
+            target = present
+        elif rng.choice(("front", "back")) == "front":
+            target = [b] + present
+        else:
+            target = present + [b]
+        substitutions = (
+            ("rename", make_rename(present, present, dict(zip(present, shuffled)))),
+            ("alpha", make_alpha(present, a, b, target)),
+            ("alpha_tilde", make_alpha_tilde(present, a, b, target)),
+            ("inclusion", make_inclusion(present, present + ["z"])),
         )
-        for step in steps:
-            image = apply_step_to_word(step, w)
-            assert is_primitive(image), "criterion 06: %s on %r" % (step.kind, w)
+        for kind, phi in substitutions:
+            assert is_primitive(phi(w)), "criterion 06: %s on %r" % (kind, w)
         done += 1
     _verdict(6, "500 words x 4 substitution classes", time.perf_counter() - start, 2.0)
 
@@ -232,22 +242,27 @@ def _single_cycle_diet(rng: random.Random):
 
 def _transport_case(case: int, base, row, rng: random.Random):
     if case == 1:
-        return rename_step(dict(zip(base, rng.sample(base, len(base)))))
+        return make_rename(base, base, dict(zip(base, rng.sample(base, len(base)))))
     if case == 2:
         i = row.index(base[0])
-        return alpha_step(row[i - 1], base[0]) if i > 0 else None
+        return make_alpha(base, row[i - 1], base[0]) if i > 0 else None
     if case == 3:
         i = row.index(base[-1])
-        return alpha_step(row[i + 1], base[-1]) if i + 1 < len(row) else None
+        return make_alpha(base, row[i + 1], base[-1]) if i + 1 < len(row) else None
     if case == 4:
         i = base.index(row[0])
-        return alpha_tilde_step(base[i - 1], row[0]) if i > 0 else None
+        return make_alpha_tilde(base, base[i - 1], row[0]) if i > 0 else None
     if case == 5:
         i = base.index(row[-1])
-        return alpha_tilde_step(base[i + 1], row[-1]) if i + 1 < len(base) else None
+        if i + 1 < len(base):
+            return make_alpha_tilde(base, base[i + 1], row[-1])
+        return None
     if case == 6:
-        return alpha_step(rng.choice(base), "z", rng.choice(("front", "back")))
-    return inclusion_step(("z",))
+        a = rng.choice(base)
+        if rng.choice(("front", "back")) == "front":
+            return make_alpha(base, a, "z", ("z",) + base)
+        return make_alpha(base, a, "z", base + ("z",))
+    return make_inclusion(base, base + ("z",))
 
 
 def test_criterion_07_clustering_transport():
@@ -260,12 +275,11 @@ def test_criterion_07_clustering_transport():
             attempts += 1
             assert attempts < 5000, "criterion 07: case %d starved" % case
             base, pi, w = _single_cycle_diet(rng)
-            step = _transport_case(case, base, pi.images, rng)
-            if step is None:
+            phi = _transport_case(case, base, pi.images, rng)
+            if phi is None:
                 continue
-            order2, pi2 = clustering_transport(base, pi, step)
-            image = apply_step_to_word(step, w)
-            assert is_pi_clustering(image, pi2), "criterion 07: case %d on %r" % (
+            order2, pi2 = clustering_transport(base, pi, phi)
+            assert is_pi_clustering(phi(w), pi2), "criterion 07: case %d on %r" % (
                 case,
                 w,
             )

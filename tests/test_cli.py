@@ -216,6 +216,24 @@ def test_domain_error_exits_1(capsys):
         assert "depth must be non-negative" in err
 
 
+def test_bad_inputs_exit_1(capsys, tmp_path):
+    code, out, err = run(capsys, ["lyndon", ""])
+    assert (code, out) == (1, "") and "empty word" in err
+    for field, value, message in (
+        ("lengths", ["1/3", "2/3"], "lengths must be an object"),
+        ("alphabet", 5, "alphabet must be a string or a list"),
+    ):
+        obj = {"alphabet": "ab", "lengths": {"a": "1/3", "b": "2/3"}, "permutation": "ba"}
+        obj[field] = value
+        path = tmp_path / ("bad_%s.json" % field)
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, ["info", "--iet", str(path)])
+        assert (code, out) == (1, "") and message in err
+    for word_len in ("0", "-1"):
+        code, out, err = run(capsys, ["verify"] + RAT2 + ["--word-len", word_len])
+        assert (code, out) == (1, "") and "word length must be at least 1" in err
+
+
 def test_zero_denominator_exits_1(capsys):
     code, _, err = run(capsys, ["info", "--lengths", "a=1/0,b=1", "--row", "ba"])
     assert code == 1

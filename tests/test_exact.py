@@ -122,6 +122,17 @@ class TestArithmetic:
         assert 1 - make_rational(1, 2) == make_rational(1, 2)
         assert 5 / SQRT5 == SQRT5
 
+    def test_equality_and_hash_agree_with_int_and_fraction(self):
+        half = make_rational(1, 2)
+        assert make_rational(1) == 1 and 1 == make_rational(1)
+        assert half == Fraction(1, 2) and Fraction(1, 2) == half
+        assert make_rational(1) != 2 and SQRT5 != 2 and half != "1/2"
+        assert hash(make_rational(1)) == hash(1)
+        assert hash(half) == hash(Fraction(1, 2))
+        assert hash(SQRT5) == hash(make_quadratic(0, 1, 5))
+        assert {make_rational(3): "x"}[3] == "x"
+        assert len({make_rational(2), 2, Fraction(4, 2), SQRT5}) == 2
+
     def test_round_trip_ops(self):
         rng = random.Random(11)
         for _ in range(200):

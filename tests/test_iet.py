@@ -190,6 +190,11 @@ class TestConstruction:
             iet_from_json({"alphabet": "ab"})
         with pytest.raises(DomainError):
             iet_from_json([1, 2])
+        good = {"alphabet": "ab", "lengths": {"a": "1/3", "b": "2/3"}, "permutation": "ba"}
+        with pytest.raises(DomainError, match="lengths must be an object"):
+            iet_from_json(dict(good, lengths=["1/3", "2/3"]))
+        with pytest.raises(DomainError, match="alphabet must be a string or a list"):
+            iet_from_json(dict(good, alphabet=5))
 
 
 class TestDiet:

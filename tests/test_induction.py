@@ -1,13 +1,16 @@
 """Induction steps, splits, admissibility windows, and cylinder chains."""
 
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 import ietbwt
+from ietbwt.alphabet import Perm
 from ietbwt.coding import left_return_words, language
 from ietbwt.errors import CapExceeded, DomainError
 from ietbwt.exact import make_rational
@@ -25,6 +28,7 @@ from ietbwt.induction import (
     y_interval,
     z_interval,
 )
+from ietbwt.words import clustering_transport, is_pi_clustering
 
 from conftest import fv, random_quadratic_iet, random_rational_iet
 
@@ -451,3 +455,42 @@ def test_induce_all_short_words_random():
         for w in lang.words_of_length(2):
             chain = induce_to_cylinder(t, w)
             _check_chain(chain, samples_per_letter=2)
+
+
+_SIDE_CONDITION = re.compile(r"must (place|sit at an end of the (order|row))")
+
+
+def test_clustering_pairs_transport_along_chains(e5, golden, sym3, sym4, rational2):
+    """The stepwise morphic argument on real chains: every step morphism is
+    an elementary substitution, and any pair on the final alphabet that
+    survives the side conditions back through the chain certifies every
+    return word chain.morphism(x)."""
+    chains = kept = 0
+    for t in (e5, golden, sym3, sym4, rational2):
+        lang = language(t, 3)
+        for w in (u for n in (1, 2, 3) for u in lang.words_of_length(n)):
+            chain = induce_to_cylinder(t, w)
+            chains += 1
+            for rec in chain.records:
+                letters = rec.after.alphabet.letters
+                try:
+                    clustering_transport(letters, Perm.identity(letters), rec.morphism)
+                except DomainError as exc:
+                    assert _SIDE_CONDITION.search(str(exc)), (w, rec.kind, exc)
+            letters = chain.final.alphabet.letters
+            returns = [chain.morphism(x) for x in letters]
+            survived = False
+            for order in permutations(letters):
+                for row in permutations(letters):
+                    pair = (order, Perm(order, row))
+                    try:
+                        for rec in reversed(chain.records):
+                            pair = clustering_transport(*pair, rec.morphism)
+                    except DomainError:
+                        continue
+                    survived = True
+                    for u in returns:
+                        assert is_pi_clustering(u, pair[1]), (w, order, row, u)
+            kept += survived
+    assert chains == 68
+    assert kept > chains // 2  # 53 of the 68 chains keep a pair

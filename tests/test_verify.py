@@ -85,6 +85,17 @@ def test_report_json_shape(golden):
     assert all("word" in c for c in data["checks"])
 
 
+def test_word_length_below_one_rejected(golden):
+    for check in (
+        verify_return_clustering,
+        verify_perfect_clustering_symmetric,
+        verify_induction_consistency,
+    ):
+        for word_len in (0, -1):
+            with pytest.raises(DomainError, match="word length must be at least 1"):
+                check(golden, word_len, 4)
+
+
 def test_report_failure_paths():
     bad = WordCheck("w", ("ba", "aba"), True, ("aba",))
     good = WordCheck("v", ("ab",), True, ())

@@ -5,16 +5,19 @@ import random
 import pytest
 
 from ietbwt.alphabet import Perm
+from ietbwt.coding import (
+    LetterMorphism,
+    make_alpha,
+    make_alpha_tilde,
+    make_inclusion,
+    make_rename,
+)
 from ietbwt.errors import DomainError
 from ietbwt.words import (
-    alpha_step,
-    alpha_tilde_step,
-    apply_step_to_word,
     bwt,
     clustering_transport,
     ebwt,
     expected_clustered_output,
-    inclusion_step,
     infer_clustering_permutation,
     is_clustering,
     is_lyndon,
@@ -25,7 +28,6 @@ from ietbwt.words import (
     omega_compare,
     parikh,
     primitive_root,
-    rename_step,
     rotations,
 )
 
@@ -106,6 +108,8 @@ class TestPrimitivity:
     def test_lyndon(self):
         assert lyndon_representative("caa") == "aac"
         assert lyndon_representative("ba", "ba") == "ba"
+        with pytest.raises(DomainError, match="empty word"):
+            lyndon_representative("")
         assert is_lyndon("aab")
         assert not is_lyndon("aba")
         assert not is_lyndon("abab")
@@ -173,42 +177,42 @@ class TestTransport:
         order = ("x", "y", "z")
         pi = Perm(order, ("y", "z", "x"))
         assert is_pi_clustering("xzy", pi)
-        step = alpha_step("z", "x")
-        order2, pi2 = clustering_transport(order, pi, step)
+        phi = make_alpha(order, "z", "x")
+        order2, pi2 = clustering_transport(order, pi, phi)
         assert order2 == order and pi2.images == ("z", "y", "x")
-        assert is_pi_clustering(apply_step_to_word(step, "xzy"), pi2)
+        assert is_pi_clustering(phi("xzy"), pi2)
 
     def test_case_append_at_order_front_middle_letter(self):
         order = ("x", "y", "z")
         pi = Perm(order, ("z", "y", "x"))
         assert is_pi_clustering("xyxz", pi)
-        step = alpha_step("y", "x")
-        order2, pi2 = clustering_transport(order, pi, step)
+        phi = make_alpha(order, "y", "x")
+        order2, pi2 = clustering_transport(order, pi, phi)
         assert order2 == order and pi2.images == ("y", "z", "x")
         assert is_pi_clustering("xyxxz", pi2)
 
     def test_case_fresh_letter_both_places(self):
         order = ("x", "y")
         pi = Perm(order, ("y", "x"))
-        back = clustering_transport(order, pi, alpha_step("x", "b", place="back"))
+        back = clustering_transport(order, pi, make_alpha(order, "x", "b", "xyb"))
         assert back == (("x", "y", "b"), Perm(("x", "y", "b"), ("y", "b", "x")))
         assert is_pi_clustering("xby", back[1])
-        front = clustering_transport(order, pi, alpha_step("x", "b", place="front"))
+        front = clustering_transport(order, pi, make_alpha(order, "x", "b", "bxy"))
         assert front == (("b", "x", "y"), Perm(("b", "x", "y"), ("x", "y", "b")))
         assert is_pi_clustering("xby", front[1])
 
     def test_case_rename(self):
         order = ("x", "y")
         pi = Perm(order, ("y", "x"))
-        step = rename_step({"x": "p", "y": "q"})
-        order2, pi2 = clustering_transport(order, pi, step)
+        phi = make_rename(order, "pq", {"x": "p", "y": "q"})
+        order2, pi2 = clustering_transport(order, pi, phi)
         assert order2 == ("p", "q") and pi2.images == ("q", "p")
         assert is_pi_clustering("pq", pi2)
 
     def test_case_inclusion(self):
         order = ("x", "y")
         pi = Perm(order, ("y", "x"))
-        order2, pi2 = clustering_transport(order, pi, inclusion_step(("u", "v")))
+        order2, pi2 = clustering_transport(order, pi, make_inclusion(order, "xuyv"))
         assert order2 == ("x", "y", "u", "v")
         assert pi2.images == ("y", "x", "u", "v")
         assert is_pi_clustering("xy", pi2)
@@ -216,36 +220,39 @@ class TestTransport:
     def test_case_prepend(self):
         order = ("x", "y")
         pi = Perm(order, ("y", "x"))
-        step = alpha_tilde_step("x", "y")
-        order2, pi2 = clustering_transport(order, pi, step)
+        phi = make_alpha_tilde(order, "x", "y")
+        order2, pi2 = clustering_transport(order, pi, phi)
         assert order2 == ("x", "y") and pi2.images == ("y", "x")
-        assert is_pi_clustering(apply_step_to_word(step, "xy"), pi2)
+        assert is_pi_clustering(phi("xy"), pi2)
 
     def test_side_conditions_enforced(self):
         order = ("x", "y", "z")
         pi = Perm(order, ("y", "z", "x"))
-        with pytest.raises(DomainError):
-            clustering_transport(order, pi, alpha_step("x", "y"))
-        with pytest.raises(DomainError):
-            clustering_transport(order, pi, alpha_step("q", "x"))
-        with pytest.raises(DomainError):
-            clustering_transport(order, pi, alpha_step("x", "q"))
-        with pytest.raises(DomainError):
-            clustering_transport(order, pi, inclusion_step(("x",)))
-        with pytest.raises(DomainError):
-            clustering_transport(order, pi, rename_step({"x": "p"}))
+        with pytest.raises(DomainError, match="end of the order"):
+            clustering_transport(order, pi, make_alpha(order, "x", "y"))
+        with pytest.raises(DomainError, match="source"):
+            clustering_transport(order, pi, make_alpha("xyzq", "q", "x"))
+        with pytest.raises(DomainError, match="end of the target"):
+            clustering_transport(order, pi, make_alpha(order, "x", "q", "xqyz"))
+        with pytest.raises(DomainError, match="not an elementary"):
+            xyx = LetterMorphism(order, order, {"x": "xyx", "y": "y", "z": "z"})
+            clustering_transport(order, pi, xyx)
+        with pytest.raises(DomainError, match="source"):
+            clustering_transport(order, pi, make_rename("x", "p", {"x": "p"}))
+        with pytest.raises(DomainError, match="not injective"):
+            merge = LetterMorphism(order, "pz", {"x": "p", "y": "p", "z": "z"})
+            clustering_transport(order, pi, merge)
 
     def test_randomized_preservation(self):
         rng = random.Random(41)
         hits = 0
         for _ in range(400):
             w, order, pi = _random_clustered(rng)
-            step = _random_applicable_step(rng, order, pi)
-            if step is None:
+            phi = _random_applicable_step(rng, order, pi)
+            if phi is None:
                 continue
-            order2, pi2 = clustering_transport(order, pi, step)
-            w2 = apply_step_to_word(step, w)
-            assert is_pi_clustering(w2, pi2), (w, order, pi, step)
+            order2, pi2 = clustering_transport(order, pi, phi)
+            assert is_pi_clustering(phi(w), pi2), (w, order, pi, phi)
             hits += 1
         assert hits > 100
 
@@ -255,23 +262,27 @@ def _random_applicable_step(rng, order, pi):
     kind = rng.choice(["rename", "alpha", "alpha_tilde", "inclusion", "alpha_fresh"])
     if kind == "rename":
         targets = rng.sample("pqrstuv", len(order))
-        return rename_step(dict(zip(order, targets)))
+        return make_rename(order, targets, dict(zip(order, targets)))
     if kind == "inclusion":
-        return inclusion_step(tuple(rng.sample("uvw", rng.randint(1, 2))))
+        fresh = tuple(rng.sample("uvw", rng.randint(1, 2)))
+        return make_inclusion(order, order + fresh)
     if kind == "alpha_fresh":
-        return alpha_step(rng.choice(order), "f", place=rng.choice(["front", "back"]))
+        a = rng.choice(order)
+        if rng.choice(["front", "back"]) == "front":
+            return make_alpha(order, a, "f", ("f",) + order)
+        return make_alpha(order, a, "f", order + ("f",))
     if kind == "alpha":
         b = rng.choice([order[0], order[-1]])
         i = row.index(b)
         if b == order[0] and i > 0:
-            return alpha_step(row[i - 1], b)
+            return make_alpha(order, row[i - 1], b)
         if b == order[-1] and i + 1 < len(row):
-            return alpha_step(row[i + 1], b)
+            return make_alpha(order, row[i + 1], b)
         return None
     b = rng.choice([row[0], row[-1]])
     i = order.index(b)
     if b == row[0] and i > 0:
-        return alpha_tilde_step(order[i - 1], b)
+        return make_alpha_tilde(order, order[i - 1], b)
     if b == row[-1] and i + 1 < len(order):
-        return alpha_tilde_step(order[i + 1], b)
+        return make_alpha_tilde(order, order[i + 1], b)
     return None
