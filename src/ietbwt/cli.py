@@ -42,6 +42,13 @@ from .words import (
 )
 
 
+_CHECKS = {
+    "returns": verify_return_clustering,
+    "symmetric": verify_perfect_clustering_symmetric,
+    "induction": verify_induction_consistency,
+}
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage problems exit with a dedicated code instead of argparse's 2,
     which this tool reserves for exhausted caps."""
@@ -67,11 +74,6 @@ def _add_iet_args(sub):
     )
 
 
-def _add_format(sub, dot=False):
-    choices = ["text", "json", "dot"] if dot else ["text", "json"]
-    sub.add_argument("--format", choices=choices, default="text")
-
-
 def _parse_diet_spec(text):
     try:
         counts, row = text.split("/")
@@ -85,14 +87,14 @@ def _load_iet(args) -> Iet:
     if args.diet is not None:
         return diet_to_iet(_parse_diet_spec(args.diet))
     if args.iet is not None:
-        if args.iet == "-":
-            raw = sys.stdin.read()
-        else:
-            try:
+        try:
+            if args.iet == "-":
+                raw = sys.stdin.read()
+            else:
                 with open(args.iet, "r", encoding="utf-8") as fh:
                     raw = fh.read()
-            except OSError as exc:
-                raise DomainError("cannot read %s: %s" % (args.iet, exc)) from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DomainError("cannot read %s: %s" % (args.iet, exc)) from exc
         try:
             obj = json.loads(raw)
         except json.JSONDecodeError as exc:
@@ -109,31 +111,44 @@ def _load_iet(args) -> Iet:
         letter = letter.strip()
         letters.append(letter)
         lengths[letter] = parse_value(value)
-    origin = parse_value(args.origin) if args.origin else None
+    origin = parse_value(args.origin) if args.origin is not None else None
     return Iet(letters, lengths, args.row, origin=origin)
 
 
 def _load_language(args):
-    if getattr(args, "periodic", None):
+    if args.periodic is not None:
         return language_of_periodic(args.periodic, args.depth)
     if args.diet is not None:
         return diet_language(_parse_diet_spec(args.diet), args.depth)
     return language(_load_iet(args), args.depth)
 
 
-def _emit(args, data, lines):
-    if args.format == "json":
-        print(json.dumps(data, sort_keys=True, indent=2))
-    else:
-        for line in lines:
-            print(line)
-
-
 def _iv(interval):
     return [str(interval[0]), str(interval[1])]
 
 
+def _span(interval) -> str:
+    return "[%s, %s)" % tuple(interval)
+
+
+def _lines(data, *keys):
+    """Text lines 'label: value' read from the JSON object.  The label is
+    the key with '_' as a space; a list is joined with spaces and a dict
+    is written as k=v pairs."""
+    out = []
+    for key in keys:
+        value = data[key]
+        if isinstance(value, list):
+            value = " ".join(value)
+        elif isinstance(value, dict):
+            value = " ".join("%s=%s" % kv for kv in value.items())
+        out.append("%s: %s" % (key.replace("_", " "), value))
+    return out
+
+
 # -- subcommands ---------------------------------------------------------
+# Each handler returns (data, lines): the object --format json prints and
+# its text (or dot) rendering.  main is the only writer to stdout.
 
 
 def cmd_info(args):
@@ -154,32 +169,29 @@ def cmd_info(args):
         if probe is None
         else {"start": str(probe.start), "end": str(probe.end), "steps": probe.steps},
     }
-    lines = [
-        "alphabet: %s" % data["alphabet"],
-        "permutation: %s" % data["permutation"],
-        "domain: [%s, %s)" % tuple(data["domain"]),
-        "lengths: " + " ".join("%s=%s" % (x, data["lengths"][x]) for x in t.alphabet),
-        "translations: "
-        + " ".join("%s=%s" % (x, data["translations"][x]) for x in t.alphabet),
-        "zero connections: " + (" ".join(data["zero_connections"]) or "none"),
-        "invariant blocks: " + (" ".join(data["invariant_blocks"]) or "none"),
-        "connection: "
-        + (
-            "none found"
-            if probe is None
-            else "%s -> %s after %d" % (probe.start, probe.end, probe.steps)
-        ),
-    ]
-    _emit(args, data, lines)
-    return 0
+    lines = (
+        _lines(data, "alphabet", "permutation")
+        + ["domain: " + _span(data["domain"])]
+        + _lines(data, "lengths", "translations")
+        + [
+            "zero connections: " + (" ".join(data["zero_connections"]) or "none"),
+            "invariant blocks: " + (" ".join(data["invariant_blocks"]) or "none"),
+            "connection: "
+            + (
+                "none found"
+                if probe is None
+                else "%s -> %s after %d" % (probe.start, probe.end, probe.steps)
+            ),
+        ]
+    )
+    return data, lines
 
 
 def cmd_eval(args):
     t = _load_iet(args)
     x = parse_value(args.point)
     y = t.apply_n(x, args.steps)
-    _emit(args, {"point": str(y)}, [str(y)])
-    return 0
+    return {"point": str(y)}, [str(y)]
 
 
 def cmd_orbit(args):
@@ -190,9 +202,7 @@ def cmd_orbit(args):
     for _ in range(args.steps - 1):
         points.append(t.apply(points[-1]))
     data = {"word": word, "points": [str(p) for p in points]}
-    lines = [word] + [str(p) for p in points]
-    _emit(args, data, lines)
-    return 0
+    return data, [word] + data["points"]
 
 
 def cmd_language(args):
@@ -200,27 +210,13 @@ def cmd_language(args):
     data = {
         str(n): list(lang.words_of_length(n)) for n in range(1, args.depth + 1)
     }
-    lines = [
-        "%d: %s" % (n, " ".join(lang.words_of_length(n)))
-        for n in range(1, args.depth + 1)
-    ]
-    _emit(args, data, lines)
-    return 0
+    return data, _lines(data, *data)
 
 
 def cmd_cylinders(args):
-    t = _load_iet(args)
-    table = cylinders(t, args.depth)
-    data = {}
-    lines = []
-    for w in table.words():
-        if not w:
-            continue
-        iv = table.interval(w)
-        data[w] = _iv(iv)
-        lines.append("%s: [%s, %s)" % (w, iv[0], iv[1]))
-    _emit(args, data, lines)
-    return 0
+    table = cylinders(_load_iet(args), args.depth)
+    data = {w: _iv(level[w]) for level in table.levels[1:] for w in sorted(level)}
+    return data, ["%s: %s" % (w, _span(iv)) for w, iv in data.items()]
 
 
 def cmd_returns(args):
@@ -234,33 +230,20 @@ def cmd_returns(args):
         "right": sorted(right),
         "complete": complete,
     }
-    lines = [
-        "left: " + " ".join(sorted(left)),
-        "right: " + " ".join(sorted(right)),
-        "complete: %s" % complete,
-    ]
-    _emit(args, data, lines)
-    return 0
+    return data, _lines(data, "left", "right", "complete")
 
 
 def cmd_induce(args):
     t = _load_iet(args)
     chain = induce_to_cylinder(t, args.word, max_steps=args.max_steps)
-    data = chain.to_json()
-    lines = ["steps: " + " ".join(chain.kinds() or ("none",))]
-    lines.append(
-        "final: %s / %s on [%s, %s)"
-        % (
-            str(chain.final.alphabet),
-            chain.final.perm.one_line(),
-            chain.final.domain()[0],
-            chain.final.domain()[1],
-        )
-    )
-    for x in chain.final.alphabet:
-        lines.append("return %s -> %s" % (x, chain.morphism(x)))
-    _emit(args, data, lines)
-    return 0
+    final = chain.final
+    lines = [
+        "steps: " + " ".join(chain.kinds() or ("none",)),
+        "final: %s / %s on %s"
+        % (final.alphabet, final.perm.one_line(), _span(final.domain())),
+    ]
+    lines += ["return %s -> %s" % (x, chain.morphism(x)) for x in final.alphabet]
+    return chain.to_json(), lines
 
 
 def cmd_bwt(args):
@@ -272,8 +255,7 @@ def cmd_bwt(args):
         "runs": ["%s:%d" % r for r in res.runs],
         "rotations": list(res.rotations),
     }
-    _emit(args, data, [res.output])
-    return 0
+    return data, [res.output]
 
 
 def cmd_ebwt(args):
@@ -284,8 +266,7 @@ def cmd_ebwt(args):
         "output": res.output,
         "conjugates": list(res.rotations),
     }
-    _emit(args, data, [res.output])
-    return 0
+    return data, [res.output]
 
 
 def cmd_cluster(args):
@@ -299,8 +280,7 @@ def cmd_cluster(args):
             "permutation": args.perm,
             "clustering": verdict,
         }
-        _emit(args, data, ["clustering" if verdict else "not clustering"])
-        return 0
+        return data, ["clustering" if verdict else "not clustering"]
     res = bwt(args.word, order)
     perm = infer_clustering_permutation(args.word, order)
     completions = ()
@@ -313,14 +293,8 @@ def cmd_cluster(args):
         "permutation": None if perm is None else perm.one_line(),
         "completions": [p.one_line() for p in completions],
     }
-    lines = [
-        "clustering: %s" % (perm is not None),
-        "permutation: %s" % (None if perm is None else perm.one_line()),
-    ]
-    if completions:
-        lines.append("completions: " + " ".join(p.one_line() for p in completions))
-    _emit(args, data, lines)
-    return 0
+    keys = ("clustering", "permutation") + (("completions",) if completions else ())
+    return data, _lines(data, *keys)
 
 
 def cmd_lyndon(args):
@@ -332,8 +306,7 @@ def cmd_lyndon(args):
         "is_lyndon": is_lyndon(word, args.order),
         "parikh": parikh(word),
     }
-    _emit(args, data, [data["representative"]])
-    return 0
+    return data, [data["representative"]]
 
 
 def cmd_diet(args):
@@ -346,40 +319,30 @@ def cmd_diet(args):
         "lyndon": list(diet_lyndon_multiset(spec)),
         "parikh": list(spec.composition),
     }
-    lines = [
-        "word: %s" % data["word"],
-        "cycles: " + " ".join("(%s)" % ",".join(str(i) for i in c) for c in cycles),
-        "lyndon: " + " ".join(data["lyndon"]),
-    ]
-    _emit(args, data, lines)
-    return 0
+    cycles_line = "cycles: " + " ".join(
+        "(%s)" % ",".join(str(i) for i in c) for c in cycles
+    )
+    return data, _lines(data, "word") + [cycles_line] + _lines(data, "lyndon")
 
 
 def cmd_extgraph(args):
-    lang = _load_language(args)
-    g = extension_graph(lang, args.word)
-    if args.format == "dot":
-        lines = ["graph extensions {"]
-        for a in g.left:
-            lines.append('  "L:%s";' % a)
-        for b in g.right:
-            lines.append('  "R:%s";' % b)
-        for a, b in g.edges:
-            lines.append('  "L:%s" -- "R:%s";' % (a, b))
-        lines.append("}")
-        print("\n".join(lines))
-        return 0
+    g = extension_graph(_load_language(args), args.word)
     data = g.to_json()
     data["bispecial"] = g.is_bispecial()
     data["tree"] = g.is_tree()
     data["forest"] = g.is_forest()
-    lines = [
-        "left: " + " ".join(g.left),
-        "right: " + " ".join(g.right),
-        "edges: " + " ".join("%s%s" % e for e in g.edges),
-    ]
-    _emit(args, data, lines)
-    return 0
+    if args.format == "dot":
+        lines = (
+            ["graph extensions {"]
+            + ['  "L:%s";' % a for a in g.left]
+            + ['  "R:%s";' % b for b in g.right]
+            + ['  "L:%s" -- "R:%s";' % e for e in g.edges]
+            + ["}"]
+        )
+    else:
+        edges = " ".join("%s%s" % e for e in g.edges)
+        lines = _lines(data, "left", "right") + ["edges: " + edges]
+    return data, lines
 
 
 def cmd_classify(args):
@@ -388,162 +351,117 @@ def cmd_classify(args):
         lang, tuple(args.left), tuple(args.right), args.max_len
     )
     data = report.to_json()
-    lines = [
-        "dendric: %s" % report.dendric,
-        "alsinic: %s" % report.alsinic,
-        "ordered alsinic: %s" % report.ordered_alsinic,
-    ]
+    lines = _lines(data, "dendric", "alsinic", "ordered_alsinic")
     if report.first_incompatible is not None:
         lines.append("first incompatible: %r" % report.first_incompatible)
-    _emit(args, data, lines)
-    return 0
+    return data, lines
 
 
 def cmd_verify(args):
-    t = _load_iet(args)
-    if args.check == "returns":
-        report = verify_return_clustering(t, args.word_len, args.return_len)
-    elif args.check == "symmetric":
-        report = verify_perfect_clustering_symmetric(t, args.word_len, args.return_len)
-    else:
-        report = verify_induction_consistency(t, args.word_len, args.return_len)
+    report = _CHECKS[args.check](_load_iet(args), args.word_len, args.return_len)
     data = report.to_json()
-    lines = [
-        "checked: %d" % len(report.checks),
-        "ok: %s" % report.ok,
-    ]
-    if not report.ok:
-        lines.append("failures: " + " ".join(report.failures()))
-    _emit(args, data, lines)
-    return 0
+    keys = ("checked", "ok") + (() if report.ok else ("failures",))
+    return data, _lines(data, *keys)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ietbwt", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("info", help="geometry and combinatorics of a map")
-    _add_iet_args(sub)
-    _add_format(sub)
-    sub.add_argument("--probe", type=int, default=64, help="connection search depth")
-    sub.set_defaults(func=cmd_info)
+    def command(name, help, func, iet=True, formats=("text", "json")):
+        sub = subs.add_parser(name, help=help)
+        if iet:
+            _add_iet_args(sub)
+        sub.add_argument("--format", choices=formats, default="text")
+        sub.set_defaults(func=func)
+        return sub
 
-    sub = subs.add_parser("eval", help="apply the map to a point")
-    _add_iet_args(sub)
-    _add_format(sub)
+    sub = command("info", "geometry and combinatorics of a map", cmd_info)
+    sub.add_argument("--probe", type=int, default=64, help="connection search depth")
+
+    sub = command("eval", "apply the map to a point", cmd_eval)
     sub.add_argument("--point", required=True)
     sub.add_argument("--steps", type=int, default=1)
-    sub.set_defaults(func=cmd_eval)
 
-    sub = subs.add_parser("orbit", help="coding and points of an orbit")
-    _add_iet_args(sub)
-    _add_format(sub)
+    sub = command("orbit", "coding and points of an orbit", cmd_orbit)
     sub.add_argument("--point", required=True)
     sub.add_argument("--steps", type=int, default=10)
-    sub.set_defaults(func=cmd_orbit)
 
-    sub = subs.add_parser("language", help="factors of the coding language")
-    _add_iet_args(sub)
-    _add_format(sub)
+    sub = command("language", "factors of the coding language", cmd_language)
     sub.add_argument("--periodic", metavar="WORD", help="use the closure of a word")
     sub.add_argument("--depth", type=int, default=4)
-    sub.set_defaults(func=cmd_language)
 
-    sub = subs.add_parser("cylinders", help="intervals coded by each word")
-    _add_iet_args(sub)
-    _add_format(sub)
+    sub = command("cylinders", "intervals coded by each word", cmd_cylinders)
     sub.add_argument("--depth", type=int, default=2)
-    sub.set_defaults(func=cmd_cylinders)
 
-    sub = subs.add_parser("returns", help="return words of a factor")
-    _add_iet_args(sub)
-    _add_format(sub)
+    sub = command("returns", "return words of a factor", cmd_returns)
     sub.add_argument("--word", required=True)
     sub.add_argument("--max-len", type=int, default=10)
-    sub.set_defaults(func=cmd_returns)
 
-    sub = subs.add_parser("induce", help="induce onto the cylinder of a word")
-    _add_iet_args(sub)
-    _add_format(sub)
+    sub = command("induce", "induce onto the cylinder of a word", cmd_induce)
     sub.add_argument("--word", required=True)
     sub.add_argument("--max-steps", type=int, default=200)
-    sub.set_defaults(func=cmd_induce)
 
-    sub = subs.add_parser("bwt", help="transform of a single word")
-    _add_format(sub)
+    sub = command("bwt", "transform of a single word", cmd_bwt, iet=False)
     sub.add_argument("word")
     sub.add_argument("--order")
-    sub.set_defaults(func=cmd_bwt)
 
-    sub = subs.add_parser("ebwt", help="transform of a multiset of words")
-    _add_format(sub)
+    sub = command("ebwt", "transform of a multiset of words", cmd_ebwt, iet=False)
     sub.add_argument("words", nargs="+")
     sub.add_argument("--order")
-    sub.set_defaults(func=cmd_ebwt)
 
-    sub = subs.add_parser("cluster", help="clustering verdict for a word")
-    _add_format(sub)
+    sub = command("cluster", "clustering verdict for a word", cmd_cluster, iet=False)
     sub.add_argument("word")
     sub.add_argument("--order")
     sub.add_argument("--perm", help="candidate permutation as a one line row")
     sub.add_argument("--all", action="store_true", help="list all completions")
-    sub.set_defaults(func=cmd_cluster)
 
-    sub = subs.add_parser("lyndon", help="rotation facts about a word")
-    _add_format(sub)
+    sub = command("lyndon", "rotation facts about a word", cmd_lyndon, iet=False)
     sub.add_argument("word")
     sub.add_argument("--order")
-    sub.set_defaults(func=cmd_lyndon)
 
-    sub = subs.add_parser("diet", help="discrete exchange facts")
-    _add_format(sub)
+    sub = command("diet", "discrete exchange facts", cmd_diet, iet=False)
     sub.add_argument("spec", help="counts/row, e.g. 4,2,1/cba")
-    sub.set_defaults(func=cmd_diet)
 
-    sub = subs.add_parser("extgraph", help="extension graph of a factor")
-    _add_iet_args(sub)
-    _add_format(sub, dot=True)
+    sub = command(
+        "extgraph", "extension graph of a factor", cmd_extgraph,
+        formats=("text", "json", "dot"),
+    )
     sub.add_argument("--periodic", metavar="WORD")
     sub.add_argument("--depth", type=int, default=8)
     sub.add_argument("--word", required=True)
-    sub.set_defaults(func=cmd_extgraph)
 
-    sub = subs.add_parser("classify", help="tree, forest, and order checks")
-    _add_iet_args(sub)
-    _add_format(sub)
+    sub = command("classify", "tree, forest, and order checks", cmd_classify)
     sub.add_argument("--periodic", metavar="WORD")
     sub.add_argument("--depth", type=int, default=8)
     sub.add_argument("--left", required=True, help="left vertex order")
     sub.add_argument("--right", required=True, help="right vertex order")
     sub.add_argument("--max-len", type=int, default=None)
-    sub.set_defaults(func=cmd_classify)
 
-    sub = subs.add_parser("verify", help="library-wide consistency reports")
-    _add_iet_args(sub)
-    _add_format(sub)
-    sub.add_argument(
-        "--check",
-        choices=["returns", "symmetric", "induction"],
-        default="returns",
-    )
+    sub = command("verify", "library-wide consistency reports", cmd_verify)
+    sub.add_argument("--check", choices=list(_CHECKS), default="returns")
     sub.add_argument("--word-len", type=int, default=2)
     sub.add_argument("--return-len", type=int, default=10)
-    sub.set_defaults(func=cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        data, lines = args.func(args)
     except DomainError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except CapExceeded as exc:
         print("cap exceeded: %s" % exc, file=sys.stderr)
         return 2
+    if args.format == "json":
+        print(json.dumps(data, sort_keys=True, indent=2))
+    else:
+        for line in lines:
+            print(line)
+    return 0
 
 
 if __name__ == "__main__":

@@ -183,6 +183,8 @@ class Iet:
     def find_connections(self, max_steps: int) -> tuple[Connection, ...]:
         """All (start, end, n) with start an inverse discontinuity whose
         n-th image, n <= max_steps, is a forward discontinuity."""
+        if max_steps < 0:
+            raise DomainError("search depth must be non-negative, got %d" % max_steps)
         targets = self.discontinuities()
         out = []
         for start in self.discontinuities_inverse():
@@ -196,6 +198,8 @@ class Iet:
     def keane_probe(self, max_steps: int) -> Optional[Connection]:
         """First connection in (steps, start) scan order, or None if the
         transformation looks regular to that depth."""
+        if max_steps < 0:
+            raise DomainError("search depth must be non-negative, got %d" % max_steps)
         targets = self.discontinuities()
         pts = list(self.discontinuities_inverse())
         starts = list(pts)

@@ -359,6 +359,8 @@ def induce_to_cylinder(t: Iet, word: str, max_steps: int = 200) -> InductionChai
     cylinder of the word.  The final map is returned in the original
     coordinates, so its domain is literally the cylinder, and the composed
     morphism carries its coding words back to codings of the input."""
+    if max_steps < 0:
+        raise DomainError("step cap must be non-negative, got %d" % max_steps)
     for ch in word:
         t.alphabet.index(ch)
     target = cylinders(t, len(word)).interval(word)

@@ -1,13 +1,115 @@
 """Command line behavior: outputs, formats, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ietbwt
 from ietbwt.cli import main
 
 
 RAT2 = ["--lengths", "a=1/3,b=2/3", "--row", "ba"]
+E5 = [
+    "--lengths",
+    "a=1/6,b=-1/4+1/4*sqrt(5),c=3/4-1/4*sqrt(5),d=1/6,e=1/6",
+    "--row",
+    "ecbda",
+]
+BANANA = ["--periodic", "banana"]
+
+# Exact text output of every subcommand; the README examples come first.
+GOLDEN_TEXT = [
+    (
+        ["info", "--diet", "4,2,1/cba"],
+        """alphabet: abc
+permutation: cba
+domain: [0, 7)
+lengths: a=4 b=2 c=1
+translations: a=3 b=-3 c=-6
+zero connections: none
+invariant blocks: none
+connection: 1 -> 4 after 1
+""",
+    ),
+    (
+        ["returns"] + E5 + ["--word", "b", "--max-len", "12"],
+        "left: b bc\nright: b cb\ncomplete: True\n",
+    ),
+    (
+        ["induce"] + E5 + ["--word", "c"],
+        """steps: right_merge split split left_top left_bottom
+final: bc / cb on [-1/12 + 1/4*sqrt(5), 2/3)
+return b -> cbb
+return c -> cb
+""",
+    ),
+    (
+        ["verify"] + E5 + ["--check", "returns", "--word-len", "2", "--return-len", "10"],
+        "checked: 11\nok: True\n",
+    ),
+    (
+        ["classify"] + BANANA + ["--depth", "8", "--left", "nba", "--right", "abn"],
+        "dendric: False\nalsinic: True\nordered alsinic: True\n",
+    ),
+    (
+        ["classify"] + BANANA + ["--depth", "8", "--left", "abn", "--right", "abn"],
+        "dendric: False\nalsinic: True\nordered alsinic: False\n"
+        "first incompatible: ''\n",
+    ),
+    (
+        ["info"] + E5,
+        """alphabet: abcde
+permutation: ecbda
+domain: [0, 1)
+lengths: a=1/6 b=-1/4 + 1/4*sqrt(5) c=3/4 - 1/4*sqrt(5) d=1/6 e=1/6
+translations: a=5/6 b=3/4 - 1/4*sqrt(5) c=1/4 - 1/4*sqrt(5) d=0 e=-5/6
+zero connections: 1/6 2/3 5/6
+invariant blocks: bc bcd d
+connection: 1/6 -> 1/6 after 0
+""",
+    ),
+    (
+        ["language"] + E5 + ["--depth", "3"],
+        "1: a b c d e\n2: ae bb bc cb dd ea\n3: aea bbc bcb cbb cbc ddd eae\n",
+    ),
+    (
+        ["language"] + BANANA + ["--depth", "4"],
+        "1: a b n\n2: ab an ba na\n3: aba ana ban nab nan\n"
+        "4: aban anab anan bana naba nana\n",
+    ),
+    (
+        ["diet", "4,2,1/cba"],
+        "word: aaaabbc\ncycles: (1,4,7) (2,5) (3,6)\nlyndon: aac ab ab\n",
+    ),
+    (["orbit"] + RAT2 + ["--point", "0", "--steps", "3"], "abb\n0\n2/3\n1/3\n"),
+    (
+        ["cluster", "banana", "--all"],
+        "clustering: True\npermutation: nba\ncompletions: nba\n",
+    ),
+    (["cluster", "abca"], "clustering: True\npermutation: cab\n"),
+    (["ebwt", "aac", "ab", "ab"], "cbbaaaa\n"),
+    (["lyndon", "banana"], "abanan\n"),
+    (
+        ["extgraph"] + BANANA + ["--word", "a"],
+        "left: b n\nright: b n\nedges: bn nb nn\n",
+    ),
+    (
+        ["extgraph"] + BANANA + ["--word", "a", "--format", "dot"],
+        """graph extensions {
+  "L:b";
+  "L:n";
+  "R:b";
+  "R:n";
+  "L:b" -- "R:n";
+  "L:n" -- "R:b";
+  "L:n" -- "R:n";
+}
+""",
+    ),
+]
 
 
 def run(capsys, argv):
@@ -229,6 +331,10 @@ def test_bad_inputs_exit_1(capsys, tmp_path):
         path.write_text(json.dumps(obj))
         code, out, err = run(capsys, ["info", "--iet", str(path)])
         assert (code, out) == (1, "") and message in err
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"alphabet": "\xe9b"}')
+    code, out, err = run(capsys, ["info", "--iet", str(path)])
+    assert (code, out) == (1, "") and "cannot read" in err and "utf-8" in err
     for word_len in ("0", "-1"):
         code, out, err = run(capsys, ["verify"] + RAT2 + ["--word-len", word_len])
         assert (code, out) == (1, "") and "word length must be at least 1" in err
@@ -252,3 +358,42 @@ def test_cap_exceeded_exits_2(capsys, e5_path):
     )
     assert code == 2
     assert "cap" in err
+
+
+@pytest.mark.parametrize("argv, expected", GOLDEN_TEXT)
+def test_golden_text(capsys, argv, expected):
+    assert run(capsys, argv) == (0, expected, "")
+
+
+def test_cylinders_text_is_level_by_level():
+    """Words are listed by length, then as language() sorts them, whatever
+    the hash seed."""
+    src = os.path.dirname(os.path.dirname(ietbwt.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    argv = [sys.executable, "-m", "ietbwt.cli", "cylinders"] + RAT2 + ["--depth", "2"]
+    for seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed)
+        out = subprocess.run(argv, capture_output=True, text=True, env=env)
+        assert (out.returncode, out.stderr) == (0, "")
+        assert out.stdout.splitlines() == [
+            "a: [0, 1/3)",
+            "b: [1/3, 1)",
+            "ab: [0, 1/3)",
+            "ba: [1/3, 2/3)",
+            "bb: [2/3, 1)",
+        ]
+
+
+def test_negative_search_bounds_exit_1(capsys):
+    code, out, err = run(capsys, ["induce"] + RAT2 + ["--word", "a", "--max-steps", "-1"])
+    assert (code, out) == (1, "") and "step cap must be non-negative" in err
+    code, out, err = run(capsys, ["info"] + RAT2 + ["--probe", "-1"])
+    assert (code, out) == (1, "") and "search depth must be non-negative" in err
+
+
+def test_empty_option_values_are_not_ignored(capsys):
+    code, out, err = run(capsys, ["info"] + RAT2 + ["--origin", ""])
+    assert (code, out, err) == (1, "", "error: empty value\n")
+    for cmd in (["language"], ["extgraph", "--word", "a"]):
+        code, out, err = run(capsys, cmd + ["--periodic", ""])
+        assert (code, out, err) == (1, "", "error: empty word\n")

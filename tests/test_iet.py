@@ -156,6 +156,11 @@ class TestConnections:
         assert starts == set(e5.zero_connections())
         assert all(c.steps == 0 and c.start == c.end for c in found)
 
+    def test_negative_search_depth_rejected(self, e5):
+        for search in (e5.keane_probe, e5.find_connections):
+            with pytest.raises(DomainError, match="search depth must be non-negative"):
+                search(-1)
+
 
 class TestConstruction:
     def test_validation(self):

@@ -443,6 +443,8 @@ def test_induce_rejects_unknown_word(e5):
 def test_induce_step_cap(e5):
     with pytest.raises(CapExceeded):
         induce_to_cylinder(e5, "c", max_steps=2)
+    with pytest.raises(DomainError, match="step cap must be non-negative"):
+        induce_to_cylinder(e5, "c", max_steps=-1)
 
 
 def test_induce_all_short_words_random():
