@@ -14,8 +14,8 @@ often as pi(x) occurs in the word.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
 from itertools import combinations, groupby
+from math import gcd
 from typing import Iterable, Sequence, Union
 
 from .alphabet import Alphabet, Perm
@@ -31,6 +31,8 @@ def _resolve_order(order: OrderLike, *words: str) -> tuple[str, ...]:
     seen = set(out)
     if len(seen) != len(out):
         raise DomainError("letter order has duplicates")
+    if not all(isinstance(ch, str) and len(ch) == 1 for ch in out):
+        raise DomainError("letters must be single characters, got %r" % (out,))
     for w in words:
         for ch in w:
             if ch not in seen:
@@ -43,27 +45,58 @@ def rotations(word: str) -> tuple[str, ...]:
 
 
 def runs_of(s: str) -> tuple[tuple[str, int], ...]:
-    return tuple((ch, len(list(grp))) for ch, grp in groupby(s))
+    return tuple((ch, sum(1 for _ in grp)) for ch, grp in groupby(s))
+
+
+def _rotation_keys(words: Sequence[str], base: tuple[str, ...]) -> list[str]:
+    """One key per rotation, in the order of the words' concatenation: the
+    first `span` letters of the rotation's infinite power, each letter as
+    chr(its rank in base).  With span the Fine-Wilf bound (see ebwt),
+    comparing keys as strings is omega_compare; for one word, span is its
+    length and a key is its rotation."""
+    ranks = {ord(ch): i for i, ch in enumerate(base)}
+    lengths = set(map(len, words))
+    span = max(m + n - gcd(m, n) for m in lengths for n in lengths)
+    keys = []
+    for w in words:
+        n = len(w)
+        text = w.translate(ranks) * (span // n + 2)
+        keys.extend([text[i : i + span] for i in range(n)])
+    return keys
 
 
 @dataclass(frozen=True)
 class BwtResult:
+    """A transform; starts holds the sorted rotations as start positions
+    in the concatenation of words."""
+
     words: tuple[str, ...]
     order: tuple[str, ...]
     output: str
     runs: tuple[tuple[str, int], ...]
-    rotations: tuple[str, ...]
+    starts: tuple[int, ...]
+
+    @property
+    def rotations(self) -> tuple[str, ...]:
+        conj = [r for w in self.words for r in rotations(w)]
+        return tuple(conj[p] for p in self.starts)
+
+
+def _transform(words: tuple[str, ...], base: tuple[str, ...]) -> BwtResult:
+    """Sort all rotations of the words stably by _rotation_keys and read
+    the letter before each start."""
+    keys = _rotation_keys(words, base)
+    starts = tuple(sorted(range(len(keys)), key=keys.__getitem__))
+    before = "".join(w[-1] + w[:-1] for w in words)
+    output = "".join([before[p] for p in starts])
+    return BwtResult(words, base, output, runs_of(output), starts)
 
 
 def bwt(word: str, order: OrderLike = None) -> BwtResult:
     """Burrows-Wheeler transform: last column of the sorted rotations."""
     if not word:
         raise DomainError("empty word")
-    base = _resolve_order(order, word)
-    index = {ch: i for i, ch in enumerate(base)}
-    rots = sorted(rotations(word), key=lambda s: tuple(index[ch] for ch in s))
-    output = "".join(s[-1] for s in rots)
-    return BwtResult((word,), base, output, runs_of(output), tuple(rots))
+    return _transform((word,), _resolve_order(order, word))
 
 
 def omega_compare(u: str, v: str, order: OrderLike = None) -> int:
@@ -82,18 +115,17 @@ def omega_compare(u: str, v: str, order: OrderLike = None) -> int:
 
 def ebwt(words: Iterable[str], order: OrderLike = None) -> BwtResult:
     """Extended transform of a multiset of primitive words: last letters of
-    all their rotations sorted by omega order."""
+    all their rotations sorted by omega order, ties kept in input order.
+
+    Rotations are compared on their first max |u|+|v|-gcd(|u|,|v|) letters
+    of u^w (the Fine-Wilf span), which decides omega_compare exactly."""
     ws = tuple(words)
     if not ws:
         raise DomainError("empty multiset")
     for w in ws:
         if not is_primitive(w):
             raise DomainError("word %r is not primitive" % w)
-    base = _resolve_order(order, *ws)
-    conj = [r for w in ws for r in rotations(w)]
-    conj.sort(key=cmp_to_key(lambda u, v: omega_compare(u, v, base)))
-    output = "".join(s[-1] for s in conj)
-    return BwtResult(ws, base, output, runs_of(output), tuple(conj))
+    return _transform(ws, _resolve_order(order, *ws))
 
 
 def is_primitive(word: str) -> bool:
@@ -112,9 +144,9 @@ def lyndon_representative(word: str, order: OrderLike = None) -> str:
     """Least rotation under the letter order."""
     if not word:
         raise DomainError("empty word")
-    base = _resolve_order(order, word)
-    index = {ch: i for i, ch in enumerate(base)}
-    return min(rotations(word), key=lambda s: tuple(index[ch] for ch in s))
+    keys = _rotation_keys((word,), _resolve_order(order, word))
+    i = min(range(len(word)), key=keys.__getitem__)
+    return word[i:] + word[:i]
 
 
 def is_lyndon(word: str, order: OrderLike = None) -> bool:
@@ -124,10 +156,6 @@ def is_lyndon(word: str, order: OrderLike = None) -> bool:
 def parikh(word: str, letters: OrderLike = None) -> dict[str, int]:
     base = _resolve_order(letters, word)
     return {ch: word.count(ch) for ch in base}
-
-
-def is_pangrammatic(word: str, letters: OrderLike) -> bool:
-    return set(letters) <= set(word)
 
 
 # -- clustering ---------------------------------------------------------

@@ -208,6 +208,23 @@ def test_orbit(capsys):
     assert data["points"] == ["0", "2/3", "1/3"]
 
 
+def test_orbit_walks_once(capsys, monkeypatch):
+    from ietbwt.iet import Iet
+
+    calls = []
+    letter_at = Iet.letter_at
+
+    def counted(self, x):
+        calls.append(x)
+        return letter_at(self, x)
+
+    monkeypatch.setattr(Iet, "letter_at", counted)
+    data = run_json(capsys, ["orbit"] + RAT2 + ["--point", "1/7", "--steps", "100"])
+    assert len(calls) == 100
+    assert len(data["word"]) == len(data["points"]) == 100
+    assert data["points"] == [str(x) for x in calls]
+
+
 def test_language_periodic(capsys):
     data = run_json(capsys, ["language", "--periodic", "ab", "--depth", "3"])
     assert data["2"] == ["ab", "ba"]

@@ -1,6 +1,7 @@
 """Transforms, Lyndon tools, clustering inference and transport."""
 
 import random
+from functools import cmp_to_key
 
 import pytest
 
@@ -13,6 +14,7 @@ from ietbwt.coding import (
     make_rename,
 )
 from ietbwt.errors import DomainError
+from ietbwt.iet import diet_lyndon_multiset, diet_spec
 from ietbwt.words import (
     bwt,
     clustering_transport,
@@ -21,7 +23,6 @@ from ietbwt.words import (
     infer_clustering_permutation,
     is_clustering,
     is_lyndon,
-    is_pangrammatic,
     is_pi_clustering,
     is_primitive,
     lyndon_representative,
@@ -62,6 +63,10 @@ class TestBwt:
         with pytest.raises(DomainError):
             bwt("")
 
+    def test_multi_character_letter_rejected(self):
+        with pytest.raises(DomainError, match="single characters"):
+            bwt("ab", ["a", "b", "cd"])
+
     def test_rotations(self):
         assert rotations("abc") == ("abc", "bca", "cab")
 
@@ -92,6 +97,113 @@ class TestOmegaOrder:
             ebwt(["abab"])
 
 
+def _rank_key(order):
+    index = {ch: i for i, ch in enumerate(order)}
+    return lambda s: tuple(index[ch] for ch in s)
+
+
+def _naive_bwt(word, order):
+    rots = sorted(rotations(word), key=_rank_key(order))
+    return "".join(s[-1] for s in rots), tuple(rots)
+
+
+def _naive_ebwt(words, order):
+    conj = [r for w in words for r in rotations(w)]
+    conj.sort(key=cmp_to_key(lambda u, v: omega_compare(u, v, order)))
+    return "".join(s[-1] for s in conj), tuple(conj)
+
+
+def _random_diet(rng, total):
+    k = rng.randint(2, 5)
+    cuts = sorted(rng.sample(range(1, total), k - 1))
+    comp = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+    row = list("abcde"[:k])
+    rng.shuffle(row)
+    return diet_spec(comp, "".join(row))
+
+
+class TestRotationSortOracle:
+    """bwt, ebwt and lyndon_representative against naive rotation sorts:
+    rank tuples for bwt and Lyndon words, omega_compare for ebwt."""
+
+    ALPHABETS = ("ab", "abc", "abcd", "αβγ", "ñaé")
+
+    def _order(self, rng, letters):
+        """A shuffled order of the letters, sometimes with absent extras."""
+        order = list(letters)
+        if rng.random() < 0.5:
+            order += rng.sample("xyzω", rng.randint(1, 3))
+        rng.shuffle(order)
+        return "".join(order)
+
+    def _word(self, rng, letters, n, primitive=False):
+        while True:
+            w = "".join(rng.choice(letters) for _ in range(n))
+            if not primitive or is_primitive(w):
+                return w
+
+    def _check_bwt(self, word, order):
+        res = bwt(word, order)
+        assert (res.output, res.rotations) == _naive_bwt(word, res.order), (word, order)
+        rep = lyndon_representative(word, order)
+        assert rep == min(rotations(word), key=_rank_key(res.order)), (word, order)
+
+    def _check_ebwt(self, words, order):
+        res = ebwt(words, order)
+        assert (res.output, res.rotations) == _naive_ebwt(words, res.order), (
+            words,
+            order,
+        )
+
+    def test_fixed_cases(self):
+        for word in ("abab", "aaa", "a", "ñ", "abaaba", "αβαβγ", "banana"):
+            self._check_bwt(word, None)
+            self._check_bwt(word, "".join(sorted(set(word), reverse=True)))
+        for words in (
+            ["a", "b", "a"],
+            ["ab", "ba", "ab"],
+            ["aab", "aba", "baa", "aab"],
+            ["aabb", "aabbab", "abba", "ab"],
+            ["αβ", "βα", "αββ"],
+        ):
+            self._check_ebwt(words, None)
+            self._check_ebwt(words, "".join(sorted(set("".join(words)), reverse=True)))
+
+    def test_random_bwt_and_lyndon(self):
+        rng = random.Random(2013)
+        for _ in range(300):
+            letters = rng.choice(self.ALPHABETS)
+            word = self._word(rng, letters, rng.randint(1, 24))
+            if rng.random() < 0.25:
+                word *= rng.randint(2, 3)
+            self._check_bwt(word, rng.choice([None, self._order(rng, letters)]))
+
+    def test_random_ebwt_multisets(self):
+        rng = random.Random(2014)
+        for case in range(200):
+            letters = rng.choice(self.ALPHABETS)
+            if case % 4 == 0:
+                lengths = [rng.choice((4, 6)) for _ in range(rng.randint(2, 6))]
+            else:
+                lengths = [rng.randint(1, 12) for _ in range(rng.randint(1, 6))]
+            words = [self._word(rng, letters, n, primitive=True) for n in lengths]
+            if case % 3 == 0:
+                w = rng.choice(words)
+                i = rng.randrange(len(w))
+                words += [w, w[i:] + w[:i]]
+            rng.shuffle(words)
+            self._check_ebwt(words, rng.choice([None, self._order(rng, letters)]))
+
+    def test_diet_cycle_words(self):
+        rng = random.Random(2015)
+        for total in (3, 7, 20, 50, 120, 250, 400):
+            spec = _random_diet(rng, total)
+            multiset = diet_lyndon_multiset(spec)
+            for w in multiset:
+                self._check_bwt(w, spec.letters)
+            self._check_ebwt(multiset, spec.letters)
+
+
 class TestPrimitivity:
     def test_is_primitive(self):
         assert is_primitive("a")
@@ -117,10 +229,6 @@ class TestPrimitivity:
     def test_parikh(self):
         assert parikh("banana") == {"a": 3, "b": 1, "n": 2}
         assert parikh("aa", "abc") == {"a": 2, "b": 0, "c": 0}
-
-    def test_pangrammatic(self):
-        assert is_pangrammatic("abca", "abc")
-        assert not is_pangrammatic("aba", "abc")
 
 
 class TestClusteringInference:
