@@ -8,6 +8,7 @@ questions are only meaningful up to that bound.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
@@ -52,22 +53,59 @@ class CylinderTable:
         return dict(self.levels[m])
 
 
+def _image_slots(t: Iet) -> list:
+    """Per image slot T(I_x) in row order: the letter x, I_x, the slot's
+    right end and tau_x."""
+    return [
+        (x, t.interval(x), t.image_interval(x)[1], t.translation(x))
+        for x in t.perm.images
+    ]
+
+
+def _pull_back(slots: list, lo: FieldValue, hi: FieldValue):
+    """Yield (x, I_x ∩ T^-1([lo, hi))) for every letter whose image slot
+    meets [lo, hi), a non-empty interval inside the domain, in row order.
+
+    The first slot that ends after lo starts at or before it, and every
+    slot after it starts where the one before ended; the walk stops at the
+    slot that reaches hi.  Only the first and the last piece are cut, and
+    a piece whose slot lies inside [lo, hi) is all of I_x."""
+    first = True
+    for i in range(bisect_right(slots, lo, key=lambda slot: slot[2]), len(slots)):
+        x, (xlo, xhi), ihi, tau = slots[i]
+        last = hi <= ihi
+        yield x, (lo - tau if first else xlo, hi - tau if last else xhi)
+        if last:
+            return
+        first = False
+
+
 def cylinders(t: Iet, depth: int) -> CylinderTable:
+    """Every non-empty cylinder up to the depth, from I_xw = T^-1(T(I_x) ∩ I_w)."""
     if depth < 0:
         raise DomainError("depth must be non-negative")
+    slots = _image_slots(t)
     levels: list[dict] = [{"": t.domain()}]
     for _ in range(depth):
         nxt: dict = {}
         for w, (lo, hi) in levels[-1].items():
-            for x in t.alphabet:
-                xlo, xhi = t.interval(x)
-                tau = t.translation(x)
-                nlo = max(xlo, lo - tau)
-                nhi = min(xhi, hi - tau)
-                if nlo < nhi:
-                    nxt[x + w] = (nlo, nhi)
+            for x, piece in _pull_back(slots, lo, hi):
+                nxt[x + w] = piece
         levels.append(nxt)
     return CylinderTable(t, depth, tuple(levels))
+
+
+def cylinder(t: Iet, word: str) -> Interval:
+    """The interval I_w coded by the word, pulled back right to left one
+    letter at a time, as `cylinders` does level by level."""
+    slots = _image_slots(t)
+    lo, hi = t.domain()
+    for x in reversed(word):
+        piece = next((iv for y, iv in _pull_back(slots, lo, hi) if y == x), None)
+        if piece is None:
+            raise DomainError("empty cylinder for %r" % word)
+        lo, hi = piece
+    return lo, hi
 
 
 @dataclass(frozen=True)

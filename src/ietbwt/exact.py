@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 from typing import Union
 
@@ -19,7 +20,10 @@ _TRIAL_LIMIT = 10 ** 6
 
 Rationalish = Union[int, Fraction]
 
+_FRACTION_ZERO = Fraction(0)
 
+
+@lru_cache
 def _squarefree_part(d: int) -> tuple[int, int]:
     """Write d = s*s*f with f square-free.  Trial division only."""
     s, f, m = 1, 1, d
@@ -44,53 +48,80 @@ def _squarefree_part(d: int) -> tuple[int, int]:
     return s, f
 
 
+def _difference_sign(p1, q1, p2, q2, d: int) -> int:
+    """Exact sign of (p1 - p2) + (q1 - q2)*sqrt(d) for rationals given as
+    int or Fraction, decided on their numerators and denominators.
+
+    Scaled by the positive denominators, the differences are integers a
+    and b; a*a is compared with b*b*d only when a and b have opposite
+    signs.  No field value or Fraction is built."""
+    n1, m1 = p1.numerator, p1.denominator
+    n2, m2 = p2.numerator, p2.denominator
+    a = n1 * m2 - n2 * m1
+    sa = (a > 0) - (a < 0)
+    if not d:
+        return sa
+    r1, s1 = q1.numerator, q1.denominator
+    r2, s2 = q2.numerator, q2.denominator
+    b = r1 * s2 - r2 * s1
+    sb = (b > 0) - (b < 0)
+    if sa == sb or not sb:
+        return sa
+    if not sa:
+        return sb
+    # a/(m1*m2) against b*sqrt(d)/(s1*s2), both sides times m1*m2*s1*s2
+    aa = a * s1 * s2
+    bb = b * m1 * m2
+    aa, bb = aa * aa, bb * bb * d
+    if aa == bb:
+        return 0  # unreachable for square-free d >= 2, kept for safety
+    return sa if aa > bb else sb
+
+
 @dataclass(frozen=True)
 class FieldValue:
     """p + q*sqrt(d), canonicalized so that q == 0 implies d == 0."""
 
     p: Fraction
-    q: Fraction = Fraction(0)
+    q: Fraction = _FRACTION_ZERO
     d: int = 0
 
     def __post_init__(self):
-        p, q, d = Fraction(self.p), Fraction(self.q), self.d
+        p, q, d = self.p, self.q, self.d
+        if not isinstance(p, Fraction):
+            p = Fraction(p)
+        if not isinstance(q, Fraction):
+            q = Fraction(q)
         if not isinstance(d, int) or d < 0:
             raise DomainError("radicand must be a non-negative integer, got %r" % (d,))
-        if q == 0 or d == 0:
-            q, d = Fraction(0), 0
+        if not q:
+            d = 0
+        elif not d:
+            q = _FRACTION_ZERO
         else:
             s, f = _squarefree_part(d)
             if f == 1:
-                p, q, d = p + q * s, Fraction(0), 0
-            else:
+                p, q, d = p + q * s, _FRACTION_ZERO, 0
+            elif s != 1:
                 q, d = q * s, f
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "d", d)
+        if p is not self.p:
+            object.__setattr__(self, "p", p)
+        if q is not self.q:
+            object.__setattr__(self, "q", q)
+        if d is not self.d:
+            object.__setattr__(self, "d", d)
 
     # -- predicates ------------------------------------------------------
 
     def is_rational(self) -> bool:
-        return self.q == 0
+        return not self.q
 
     def is_zero(self) -> bool:
-        return self.p == 0 and self.q == 0
+        return not self.p and not self.q
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, 1}."""
-        sp = (self.p > 0) - (self.p < 0)
-        if self.q == 0:
-            return sp
-        sq = 1 if self.q > 0 else -1
-        if self.p == 0:
-            return sq
-        if sp == sq:
-            return sp
-        pp = self.p * self.p
-        qq = self.q * self.q * self.d
-        if pp == qq:
-            return 0  # unreachable for square-free d >= 2, kept for safety
-        return sp if pp > qq else sq
+        return _difference_sign(self.p, self.q, 0, 0, self.d)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -124,7 +155,8 @@ class FieldValue:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        d = self._join_radicand(other)
+        return FieldValue(self.p - other.p, self.q - other.q, d)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -165,25 +197,39 @@ class FieldValue:
     # -- comparisons -----------------------------------------------------
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.p == other.p and self.q == other.q and self.d == other.d
+        if isinstance(other, FieldValue):
+            return self.p == other.p and self.q == other.q and self.d == other.d
+        if isinstance(other, (int, Fraction)):
+            return not self.q and self.p == other
+        return NotImplemented
 
     def __hash__(self):
         return hash(self.p) if self.d == 0 else hash((self.p, self.q, self.d))
 
+    def _compare(self, other):
+        """Sign of self - other, or None for an operand of another type."""
+        if isinstance(other, FieldValue):
+            d = self._join_radicand(other)
+            return _difference_sign(self.p, self.q, other.p, other.q, d)
+        if isinstance(other, (int, Fraction)):
+            return _difference_sign(self.p, self.q, other, 0, self.d)
+        return None
+
     def __lt__(self, other):
-        return (self - self._coerce(other)).sign() < 0
+        s = self._compare(other)
+        return NotImplemented if s is None else s < 0
 
     def __le__(self, other):
-        return (self - self._coerce(other)).sign() <= 0
+        s = self._compare(other)
+        return NotImplemented if s is None else s <= 0
 
     def __gt__(self, other):
-        return (self - self._coerce(other)).sign() > 0
+        s = self._compare(other)
+        return NotImplemented if s is None else s > 0
 
     def __ge__(self, other):
-        return (self - self._coerce(other)).sign() >= 0
+        s = self._compare(other)
+        return NotImplemented if s is None else s >= 0
 
     # -- rendering -------------------------------------------------------
 
@@ -250,7 +296,10 @@ def make_quadratic(p: Rationalish, q: Rationalish, d: int) -> FieldValue:
 
 def compare(x: FieldValue, y: FieldValue) -> int:
     """-1, 0 or 1 according to the exact sign of x - y."""
-    return (x - y).sign()
+    s = x._compare(y)
+    if s is None:
+        raise TypeError("cannot compare %r with %r" % (x, y))
+    return s
 
 
 _TERM = re.compile(r"([+-]?)(?:(\d+(?:/\d+)?)\*?)?(?:sqrt\((\d+)\))?$")

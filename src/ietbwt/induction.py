@@ -20,7 +20,7 @@ from .alphabet import Perm
 from .coding import (
     LetterMorphism,
     compose,
-    cylinders,
+    cylinder,
     identity_morphism,
     make_alpha,
     make_alpha_tilde,
@@ -363,7 +363,7 @@ def induce_to_cylinder(t: Iet, word: str, max_steps: int = 200) -> InductionChai
         raise DomainError("step cap must be non-negative, got %d" % max_steps)
     for ch in word:
         t.alphabet.index(ch)
-    target = cylinders(t, len(word)).interval(word)
+    target = cylinder(t, word)
     if word == "":
         return InductionChain(t, word, target, (), t, identity_morphism(t.alphabet))
     tlo, thi = target

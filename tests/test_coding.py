@@ -1,12 +1,15 @@
 """Trajectories, cylinders, language samples, return words, morphisms."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from ietbwt.alphabet import Alphabet
 from ietbwt.coding import (
     LetterMorphism,
     compose,
+    cylinder,
     cylinders,
     diet_language,
     identity_morphism,
@@ -22,10 +25,70 @@ from ietbwt.coding import (
     trajectory,
 )
 from ietbwt.errors import DomainError
-from ietbwt.exact import make_rational
-from ietbwt.iet import diet_to_iet
+from ietbwt.exact import make_quadratic, make_rational
+from ietbwt.iet import Iet, diet_to_iet
 
-from conftest import random_rational_iet
+from conftest import make_e5, make_golden, make_sym4, random_rational_iet
+
+
+def _random_field_iet(rng: random.Random, k: int, d: int, reducible: bool) -> Iet:
+    """k letters with positive lengths in Q(sqrt(d)) and a random origin;
+    with reducible, the row starts "ba", so for k >= 3 the block {a, b} is
+    invariant and the exchange is not minimal."""
+    letters = Alphabet.first(k).letters
+
+    def value():
+        return make_quadratic(
+            Fraction(rng.randint(-9, 9), 6), Fraction(rng.randint(-3, 3), 4), d
+        )
+
+    def length():
+        v = make_quadratic(
+            Fraction(rng.randint(1, 12), 6), Fraction(rng.randint(-3, 3), 8), d
+        )
+        return v if v.sign() > 0 else length()
+
+    row = list(letters)
+    while row == list(letters):
+        rng.shuffle(row)
+        if reducible:
+            head = ["b", "a"]
+            row = head + [x for x in row if x not in head]
+    lengths = {x: length() for x in letters}
+    return Iet(letters, lengths, "".join(row), origin=value())
+
+
+def _naive_levels(t: Iet, depth: int) -> list:
+    """Cylinder levels by the per-letter definition
+    I_xw = I_x ∩ T^-1(I_w), tried for every letter x."""
+    levels = [{"": t.domain()}]
+    for _ in range(depth):
+        nxt = {}
+        for w, (lo, hi) in levels[-1].items():
+            for x in t.alphabet:
+                xlo, xhi = t.interval(x)
+                tau = t.translation(x)
+                nlo = max(xlo, lo - tau)
+                nhi = min(xhi, hi - tau)
+                if nlo < nhi:
+                    nxt[x + w] = (nlo, nhi)
+        levels.append(nxt)
+    return levels
+
+
+def _seeded_exchanges() -> list:
+    """Rational, Q(sqrt(2)), Q(sqrt(3)) and Q(sqrt(5)) exchanges, minimal
+    and not, most with non-zero origins, each with a depth up to 8."""
+    rng = random.Random(4242)
+    out = [(make_e5(), 8), (make_golden(), 8), (make_sym4(), 6)]
+    for _ in range(6):
+        t = random_rational_iet(rng, rng.randint(2, 5))
+        out.append((t.translate(make_rational(rng.randint(-5, 5), 7)), 5))
+    for i in range(12):
+        d = (2, 3, 5)[i % 3]
+        t = _random_field_iet(rng, rng.randint(2, 5), d, reducible=i % 2 == 1)
+        out.append((t, 8 if len(t.alphabet) <= 3 else 6))
+    return out
 
 
 class TestTrajectory:
@@ -92,6 +155,36 @@ class TestCylinders:
                     (phi - plo for plo, phi in level.values()), start=make_rational(0)
                 )
                 assert total == hi - lo
+
+
+class TestCylinderOracle:
+    def test_table_matches_per_letter_definition(self):
+        intervals = 0
+        for t, depth in _seeded_exchanges():
+            levels = cylinders(t, depth).levels
+            assert list(levels) == _naive_levels(t, depth), t
+            intervals += sum(len(lv) for lv in levels)
+        assert intervals > 1000
+
+    def test_single_cylinder_matches_table(self):
+        for t, depth in _seeded_exchanges():
+            table = cylinders(t, depth)
+            for level in table.levels[:-1]:
+                for w, iv in level.items():
+                    assert cylinder(t, w) == iv == table.interval(w)
+                    for x in t.alphabet:
+                        if x + w not in table.levels[len(w) + 1]:
+                            with pytest.raises(DomainError, match="empty cylinder"):
+                                cylinder(t, x + w)
+            for w, iv in table.levels[-1].items():
+                assert cylinder(t, w) == iv
+
+    def test_single_cylinder_outside_language(self, e5):
+        assert cylinder(e5, "") == e5.domain()
+        assert cylinder(e5, "ae") == e5.interval("a")
+        for bad in ("aa", "aeb", "z", "az"):
+            with pytest.raises(DomainError, match="empty cylinder for %r" % bad):
+                cylinder(e5, bad)
 
 
 class TestLanguage:

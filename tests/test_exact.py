@@ -20,7 +20,8 @@ SQRT5 = make_quadratic(0, 1, 5)
 
 
 def _interval_sign(p: Fraction, q: Fraction, d: int) -> int:
-    """Sign of p + q*sqrt(d) via 256-bit integer interval bounds.
+    """Sign of p + q*sqrt(d) via integer interval bounds on sqrt(d), made
+    finer (from 256 fractional bits up) until they decide it.
 
     Independent of FieldValue.sign, which compares p*p against q*q*d.
     """
@@ -34,16 +35,18 @@ def _interval_sign(p: Fraction, q: Fraction, d: int) -> int:
         x = a + b * r0
         return (x > 0) - (x < 0)
     k = 256
-    a2 = a << k
-    r = isqrt((b * b * d) << (2 * k))
-    if b > 0:
-        lo, hi = a2 + r, a2 + r + 1
-    else:
-        lo, hi = a2 - r - 1, a2 - r
-    if lo > 0:
-        return 1
-    if hi < 0:
-        return -1
+    while k <= 1 << 16:
+        a2 = a << k
+        r = isqrt((b * b * d) << (2 * k))
+        if b > 0:
+            lo, hi = a2 + r, a2 + r + 1
+        else:
+            lo, hi = a2 - r - 1, a2 - r
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        k *= 2
     raise AssertionError("interval bound too coarse for %s + %s*sqrt(%d)" % (p, q, d))
 
 
@@ -189,6 +192,108 @@ class TestOrdering:
             y = make_quadratic(p2, q2, d)
             expect = _interval_sign(p1 - p2, q1 - q2, d)
             assert compare(x, y) == expect, (p1, q1, p2, q2, d)
+
+    def test_every_order_method_against_interval_oracle(self):
+        rng = random.Random(808)
+        checked = {"equal": 0, "q only": 0, "near": 0, "rational": 0, "zero": 0}
+        for _ in range(1500):
+            d = rng.choice(ORACLE_RADICANDS)
+            scale = rng.choice((10, 10 ** 6, 10 ** 30))
+            p1, q1 = _rand_fraction(rng, scale), _rand_fraction(rng, scale)
+            kind = rng.choice(("random", "equal", "q only", "near", "rational", "zero"))
+            if kind == "zero":
+                p1, q1 = rng.choice(((Fraction(0), Fraction(0)), (p1, q1)))
+                p2, q2 = rng.choice(((Fraction(0), Fraction(0)), (p1, q1)))
+            elif kind == "equal":
+                p2, q2 = p1, q1
+            elif kind == "q only":
+                p2, q2 = p1, q1 + rng.choice((-1, 1)) * Fraction(1, scale)
+            elif kind == "near":
+                # (p1 - p2) + (q1 - q2)*sqrt(d) within about 1/m of zero
+                m = rng.randint(1, scale)
+                b = rng.randint(-scale, scale)
+                a = -isqrt(b * b * d) if b > 0 else isqrt(b * b * d)
+                a += rng.choice((-1, 0, 1))
+                p2 = p1 - Fraction(a, m)
+                q2 = q1 - Fraction(b, m)
+            elif kind == "rational":
+                p2, q2 = _rand_fraction(rng, scale), Fraction(0)
+                if rng.random() < 0.5:
+                    q1 = Fraction(0)
+            else:
+                p2, q2 = _rand_fraction(rng, scale), _rand_fraction(rng, scale)
+            x = make_quadratic(p1, q1, d)
+            y = make_quadratic(p2, q2, d)
+            expect = _interval_sign(p1 - p2, q1 - q2, d)
+            _check_order(x, y, expect)
+            assert x.sign() == _interval_sign(p1, q1, d)
+            if q2 == 0:
+                # y as a plain int or Fraction, on either side
+                for raw in (p2, int(p2)) if p2.denominator == 1 else (p2,):
+                    _check_order(x, raw, expect)
+                    assert compare(x, raw) == expect
+            if q1 == 0 and q2 == 0:
+                _check_order(p1, y, expect)
+            if kind in checked and (kind != "zero" or x.is_zero() or y.is_zero()):
+                checked[kind] += 1
+        assert min(checked.values()) >= 100, checked
+
+    def test_unsupported_operands(self):
+        for bad in (0.5, None, "1", [1]):
+            for op in ("__lt__", "__le__", "__gt__", "__ge__"):
+                assert getattr(SQRT5, op)(bad) is NotImplemented
+        with pytest.raises(TypeError, match="'<' not supported"):
+            SQRT5 < 0.5
+        with pytest.raises(TypeError, match="'<=' not supported"):
+            SQRT5 <= None
+        with pytest.raises(TypeError, match="'<' not supported .* 'float' and"):
+            0.5 < SQRT5
+        with pytest.raises(TypeError, match="'>=' not supported"):
+            SQRT5 >= "1"
+        assert (SQRT5 == 0.5) is False and (make_rational(1, 2) == 0.5) is False
+        assert SQRT5 != 0.5 and make_rational(1) != 1.0
+
+    def test_mixed_radicands_in_order(self):
+        sqrt2 = make_quadratic(0, 1, 2)
+        for check in (
+            lambda: SQRT5 < sqrt2,
+            lambda: SQRT5 <= sqrt2,
+            lambda: SQRT5 > sqrt2,
+            lambda: SQRT5 >= sqrt2,
+            lambda: compare(SQRT5, sqrt2),
+            lambda: SQRT5 - sqrt2,
+        ):
+            with pytest.raises(DomainError, match="incompatible radicands"):
+                check()
+        assert SQRT5 != sqrt2
+        assert make_rational(3) > SQRT5 > make_rational(2) > sqrt2
+
+
+ORACLE_RADICANDS = (2, 3, 5, 6, 7, 10)
+
+
+def _rand_fraction(rng: random.Random, scale: int) -> Fraction:
+    return Fraction(rng.randint(-scale, scale), rng.randint(1, scale))
+
+
+def _check_order(x, y, expect: int) -> None:
+    """Every comparison of x with y, either way round, agrees with expect,
+    the exact sign of x - y."""
+    case = (x, y, expect)
+    assert (x < y) == (expect < 0), case
+    assert (x <= y) == (expect <= 0), case
+    assert (x > y) == (expect > 0), case
+    assert (x >= y) == (expect >= 0), case
+    assert (x == y) == (expect == 0), case
+    assert (x != y) == (expect != 0), case
+    assert (y < x) == (expect > 0), case
+    assert (y <= x) == (expect >= 0), case
+    assert (y > x) == (expect < 0), case
+    assert (y >= x) == (expect <= 0), case
+    assert (y == x) == (expect == 0), case
+    if isinstance(x, FieldValue) and isinstance(y, FieldValue):
+        assert compare(x, y) == expect == -compare(y, x), case
+        assert (x - y).sign() == expect, case
 
 
 class TestParsing:
