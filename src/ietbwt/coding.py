@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import groupby
 from typing import Iterable, Optional, Union
 
 from .alphabet import Alphabet, LettersLike
@@ -24,8 +26,9 @@ def trajectory(t: Iet, x: FieldValue, n: int) -> str:
         raise DomainError("trajectory length must be non-negative")
     out = []
     for _ in range(n):
-        out.append(t.letter_at(x))
-        x = t.apply(x)
+        a = t.letter_at(x)
+        out.append(a)
+        x = x + t.translation(a)
     return "".join(out)
 
 
@@ -118,8 +121,13 @@ class LanguageSample:
     def __contains__(self, word: str) -> bool:
         return word in self.words
 
+    @cached_property
+    def _by_length(self) -> dict[int, tuple[str, ...]]:
+        ordered = sorted(sorted(self.words), key=len)
+        return {n: tuple(ws) for n, ws in groupby(ordered, len)}
+
     def words_of_length(self, n: int) -> tuple[str, ...]:
-        return tuple(sorted(w for w in self.words if len(w) == n))
+        return self._by_length.get(n, ())
 
     def longest(self) -> tuple[str, ...]:
         return self.words_of_length(self.bound)

@@ -1,8 +1,10 @@
 """Exact arithmetic in Q and in real quadratic fields Q(sqrt(d)).
 
-A value is stored as p + q*sqrt(d) with p, q rational and d a square-free
-non-negative integer.  Rational values carry d = 0.  No floating point is
-used anywhere; comparisons are decided by exact sign computations.
+A value is stored as (a + b*sqrt(d))/n with integers a, b and n > 0 in
+lowest terms and d a square-free non-negative integer; rational values
+carry b = d = 0.  The rational parts p = a/n and q = b/n are read back as
+Fractions.  No floating point is used anywhere: coefficients must be int or
+Fraction, and comparisons are decided by one exact integer sign test.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ from .errors import DomainError
 _TRIAL_LIMIT = 10 ** 6
 
 Rationalish = Union[int, Fraction]
-
-_FRACTION_ZERO = Fraction(0)
 
 
 @lru_cache
@@ -48,80 +48,91 @@ def _squarefree_part(d: int) -> tuple[int, int]:
     return s, f
 
 
-def _difference_sign(p1, q1, p2, q2, d: int) -> int:
-    """Exact sign of (p1 - p2) + (q1 - q2)*sqrt(d) for rationals given as
-    int or Fraction, decided on their numerators and denominators.
-
-    Scaled by the positive denominators, the differences are integers a
-    and b; a*a is compared with b*b*d only when a and b have opposite
-    signs.  No field value or Fraction is built."""
-    n1, m1 = p1.numerator, p1.denominator
-    n2, m2 = p2.numerator, p2.denominator
-    a = n1 * m2 - n2 * m1
+def _sign(a: int, b: int, d: int) -> int:
+    """Exact sign of a + b*sqrt(d) for integers a, b and square-free d:
+    a*a is compared with b*b*d only when a and b have opposite signs."""
     sa = (a > 0) - (a < 0)
-    if not d:
-        return sa
-    r1, s1 = q1.numerator, q1.denominator
-    r2, s2 = q2.numerator, q2.denominator
-    b = r1 * s2 - r2 * s1
     sb = (b > 0) - (b < 0)
     if sa == sb or not sb:
         return sa
     if not sa:
         return sb
-    # a/(m1*m2) against b*sqrt(d)/(s1*s2), both sides times m1*m2*s1*s2
-    aa = a * s1 * s2
-    bb = b * m1 * m2
-    aa, bb = aa * aa, bb * bb * d
-    if aa == bb:
-        return 0  # unreachable for square-free d >= 2, kept for safety
-    return sa if aa > bb else sb
+    return sa if a * a > b * b * d else sb
+
+
+def _integers(a, b, n) -> tuple[int, int, int]:
+    """(a + b*sqrt(d))/n with int or Fraction coefficients, rewritten over
+    one integer denominator.  Anything else, floats included, is refused."""
+    for c in (a, b, n):
+        if not isinstance(c, (int, Fraction)):
+            raise DomainError("coefficients must be int or Fraction, got %r" % (c,))
+    p, q = Fraction(a) / n, Fraction(b) / n
+    m = p.denominator * q.denominator
+    return p.numerator * q.denominator, q.numerator * p.denominator, m
 
 
 @dataclass(frozen=True)
 class FieldValue:
-    """p + q*sqrt(d), canonicalized so that q == 0 implies d == 0."""
+    """(a + b*sqrt(d))/n in lowest terms: n > 0, gcd(a, b, n) == 1, d
+    square-free, and b == 0 exactly when d == 0.  The coefficients may be
+    given as int or Fraction; they are stored as integers."""
 
-    p: Fraction
-    q: Fraction = _FRACTION_ZERO
+    a: Rationalish
+    b: Rationalish = 0
     d: int = 0
+    n: Rationalish = 1
 
     def __post_init__(self):
-        p, q, d = self.p, self.q, self.d
-        if not isinstance(p, Fraction):
-            p = Fraction(p)
-        if not isinstance(q, Fraction):
-            q = Fraction(q)
+        a, b, d, n = self.a, self.b, self.d, self.n
+        if not n:
+            raise DomainError("zero denominator")
+        if type(a) is not int or type(b) is not int or type(n) is not int:
+            a, b, n = _integers(a, b, n)
         if not isinstance(d, int) or d < 0:
             raise DomainError("radicand must be a non-negative integer, got %r" % (d,))
-        if not q:
-            d = 0
-        elif not d:
-            q = _FRACTION_ZERO
+        if not b or not d:
+            b = d = 0
         else:
             s, f = _squarefree_part(d)
             if f == 1:
-                p, q, d = p + q * s, _FRACTION_ZERO, 0
+                a, b, d = a + b * s, 0, 0
             elif s != 1:
-                q, d = q * s, f
-        if p is not self.p:
-            object.__setattr__(self, "p", p)
-        if q is not self.q:
-            object.__setattr__(self, "q", q)
+                b, d = b * s, f
+        if n < 0:
+            a, b, n = -a, -b, -n
+        g = gcd(a, b, n)
+        if g != 1:
+            a, b, n = a // g, b // g, n // g
+        if a is not self.a:
+            object.__setattr__(self, "a", a)
+        if b is not self.b:
+            object.__setattr__(self, "b", b)
         if d is not self.d:
             object.__setattr__(self, "d", d)
+        if n is not self.n:
+            object.__setattr__(self, "n", n)
+
+    @property
+    def p(self) -> Fraction:
+        """The rational part a/n."""
+        return Fraction(self.a, self.n)
+
+    @property
+    def q(self) -> Fraction:
+        """The coefficient b/n of sqrt(d)."""
+        return Fraction(self.b, self.n)
 
     # -- predicates ------------------------------------------------------
 
     def is_rational(self) -> bool:
-        return not self.q
+        return not self.b
 
     def is_zero(self) -> bool:
-        return not self.p and not self.q
+        return not self.a and not self.b
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, 1}."""
-        return _difference_sign(self.p, self.q, 0, 0, self.d)
+        return _sign(self.a, self.b, self.d)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -129,11 +140,13 @@ class FieldValue:
         if isinstance(other, FieldValue):
             return other
         if isinstance(other, (int, Fraction)):
-            return FieldValue(Fraction(other))
+            return FieldValue(other)
         return NotImplemented
 
     def _join_radicand(self, other: "FieldValue") -> int:
-        if self.d and other.d and self.d != other.d:
+        if self.d == other.d:
+            return self.d
+        if self.d and other.d:
             raise DomainError(
                 "incompatible radicands %d and %d" % (self.d, other.d)
             )
@@ -144,19 +157,21 @@ class FieldValue:
         if other is NotImplemented:
             return NotImplemented
         d = self._join_radicand(other)
-        return FieldValue(self.p + other.p, self.q + other.q, d)
+        n, m = self.n, other.n
+        return FieldValue(self.a * m + other.a * n, self.b * m + other.b * n, d, n * m)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldValue(-self.p, -self.q, self.d)
+        return FieldValue(-self.a, -self.b, self.d, self.n)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         d = self._join_radicand(other)
-        return FieldValue(self.p - other.p, self.q - other.q, d)
+        n, m = self.n, other.n
+        return FieldValue(self.a * m - other.a * n, self.b * m - other.b * n, d, n * m)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -169,11 +184,8 @@ class FieldValue:
         if other is NotImplemented:
             return NotImplemented
         d = self._join_radicand(other)
-        return FieldValue(
-            self.p * other.p + self.q * other.q * d,
-            self.p * other.q + self.q * other.p,
-            d,
-        )
+        a, b, c, e = self.a, self.b, other.a, other.b
+        return FieldValue(a * c + b * e * d, a * e + b * c, d, self.n * other.n)
 
     __rmul__ = __mul__
 
@@ -184,9 +196,11 @@ class FieldValue:
         if other.is_zero():
             raise DomainError("division by zero")
         d = self._join_radicand(other)
-        denom = other.p * other.p - other.q * other.q * d
-        num = self * FieldValue(other.p, -other.q, d)
-        return FieldValue(num.p / denom, num.q / denom, d)
+        # x/y = x * conj(y) * m / (n * (c*c - e*e*d)) for y = (c + e*sqrt(d))/m
+        a, b, c, e, m = self.a, self.b, other.a, other.b, other.n
+        return FieldValue(
+            (a * c - b * e * d) * m, (b * c - a * e) * m, d, self.n * (c * c - e * e * d)
+        )
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -198,21 +212,27 @@ class FieldValue:
 
     def __eq__(self, other):
         if isinstance(other, FieldValue):
-            return self.p == other.p and self.q == other.q and self.d == other.d
+            return (self.a == other.a and self.b == other.b and self.n == other.n
+                    and self.d == other.d)
         if isinstance(other, (int, Fraction)):
-            return not self.q and self.p == other
+            return (not self.b and self.a == other.numerator
+                    and self.n == other.denominator)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.p) if self.d == 0 else hash((self.p, self.q, self.d))
+        if self.b:
+            return hash((self.a, self.b, self.d, self.n))
+        return hash(self.a) if self.n == 1 else hash(Fraction(self.a, self.n))
 
     def _compare(self, other):
         """Sign of self - other, or None for an operand of another type."""
         if isinstance(other, FieldValue):
             d = self._join_radicand(other)
-            return _difference_sign(self.p, self.q, other.p, other.q, d)
+            n, m = self.n, other.n
+            return _sign(self.a * m - other.a * n, self.b * m - other.b * n, d)
         if isinstance(other, (int, Fraction)):
-            return _difference_sign(self.p, self.q, other, 0, self.d)
+            m = other.denominator
+            return _sign(self.a * m - other.numerator * self.n, self.b * m, self.d)
         return None
 
     def __lt__(self, other):
@@ -234,13 +254,14 @@ class FieldValue:
     # -- rendering -------------------------------------------------------
 
     def __str__(self):
-        if self.q == 0:
-            return str(self.p)
-        root = "%s*sqrt(%d)" % (abs(self.q), self.d)
-        if self.p == 0:
-            return root if self.q > 0 else "-" + root
-        op = "+" if self.q > 0 else "-"
-        return "%s %s %s" % (self.p, op, root)
+        p, q = self.p, self.q
+        if q == 0:
+            return str(p)
+        root = "%s*sqrt(%d)" % (abs(q), self.d)
+        if p == 0:
+            return root if q > 0 else "-" + root
+        op = "+" if q > 0 else "-"
+        return "%s %s %s" % (p, op, root)
 
     def __repr__(self):
         return "FieldValue(%r)" % str(self)
@@ -259,39 +280,25 @@ class FieldValue:
 
 
 def _floor_scaled(v: FieldValue, scale: int) -> int:
-    """floor(v * scale) for v >= 0, computed with integer arithmetic."""
-    a_frac = v.p * scale
-    b_frac = v.q * scale
-    denom = a_frac.denominator * b_frac.denominator // gcd(
-        a_frac.denominator, b_frac.denominator
-    )
-    a = a_frac.numerator * (denom // a_frac.denominator)
-    b = b_frac.numerator * (denom // b_frac.denominator)
-    if b == 0:
-        s = 0
-    elif b > 0:
-        s = isqrt(b * b * v.d)
-    else:
-        t = b * b * v.d
-        r = isqrt(t)
-        s = -r if r * r == t else -r - 1
-    return (a + s) // denom
+    """floor(v * scale) for v >= 0, computed with integer arithmetic.  A
+    non-zero b comes with a square-free d > 1, so b*sqrt(d) is irrational."""
+    b = v.b * scale
+    r = isqrt(b * b * v.d)
+    return (v.a * scale + (r if b >= 0 else -r - 1)) // v.n
 
 
-ZERO = FieldValue(Fraction(0))
-ONE = FieldValue(Fraction(1))
+ZERO = FieldValue(0)
+ONE = FieldValue(1)
 
 
 def make_rational(num: int, den: int = 1) -> FieldValue:
     """num/den as an exact value."""
-    if den == 0:
-        raise DomainError("zero denominator")
-    return FieldValue(Fraction(num, den))
+    return FieldValue(num, 0, 0, den)
 
 
 def make_quadratic(p: Rationalish, q: Rationalish, d: int) -> FieldValue:
     """p + q*sqrt(d); d is reduced to its square-free part."""
-    return FieldValue(Fraction(p), Fraction(q), d)
+    return FieldValue(p, q, d)
 
 
 def compare(x: FieldValue, y: FieldValue) -> int:
@@ -313,7 +320,7 @@ def parse_value(text: str) -> FieldValue:
     terms = re.findall(r"[+-]?[^+-]+", s)
     if "".join(terms) != s:
         raise DomainError("cannot parse value %r" % text)
-    total = FieldValue(Fraction(0))
+    total = ZERO
     for term in terms:
         m = _TERM.match(term)
         if not m or (m.group(2) is None and m.group(3) is None):

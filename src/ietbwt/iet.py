@@ -8,7 +8,9 @@ total on its domain: each point moves by the translation of its letter.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 from .alphabet import Alphabet, LettersLike, Perm
@@ -29,6 +31,15 @@ class Connection:
     steps: int
 
 
+def _as_value(v, name: str) -> FieldValue:
+    """A FieldValue, int or Fraction as a FieldValue; anything else is refused."""
+    if isinstance(v, (int, Fraction)):
+        v = FieldValue(v)
+    elif not isinstance(v, FieldValue):
+        raise DomainError("%s must be an int, Fraction or FieldValue, got %r" % (name, v))
+    return v
+
+
 class Iet:
     def __init__(
         self,
@@ -46,10 +57,10 @@ class Iet:
                 % ("".join(perm.letters), self.alphabet)
             )
         self.perm = perm
-        self.origin = origin if origin is not None else ZERO
+        self.origin = _as_value(ZERO if origin is None else origin, "origin")
         if set(lengths) != set(self.alphabet):
             raise DomainError("lengths must cover exactly the alphabet")
-        self.lengths = {x: lengths[x] for x in self.alphabet}
+        self.lengths = {x: _as_value(lengths[x], "length of %r" % x) for x in self.alphabet}
         radicands = {v.d for v in self.lengths.values()} | {self.origin.d}
         radicands.discard(0)
         if len(radicands) > 1:
@@ -57,49 +68,53 @@ class Iet:
         for x, v in self.lengths.items():
             if v.sign() <= 0:
                 raise DomainError("length of %r must be positive, got %s" % (x, v))
-        self._left: dict[str, FieldValue] = {}
-        acc = self.origin
-        for x in self.alphabet:
-            self._left[x] = acc
-            acc = acc + self.lengths[x]
-        self.total = acc - self.origin
-        self._image_left: dict[str, FieldValue] = {}
-        acc = self.origin
-        for y in self.perm.images:
-            self._image_left[y] = acc
-            acc = acc + self.lengths[y]
-        self._tau = {x: self._image_left[x] - self._left[x] for x in self.alphabet}
+        # built once: letter intervals, image slots, and the cuts that
+        # letter_at and apply_inverse bisect
+        self._intervals, self._cuts = self._tile(self.alphabet.letters)
+        self._image_intervals, self._image_cuts = self._tile(self.perm.images)
+        self._domain = (self.origin, self._cuts[-1])
+        self.total = self._cuts[-1] - self.origin
+        self._tau = {x: self._image_intervals[x][0] - self.left(x) for x in self.alphabet}
+
+    def _tile(self, order) -> tuple[dict[str, Interval], list[FieldValue]]:
+        """Consecutive intervals from the origin, one per letter in order,
+        and their cuts: every left endpoint, then the right end."""
+        out, cuts = {}, [self.origin]
+        for x in order:
+            cuts.append(cuts[-1] + self.lengths[x])
+            out[x] = (cuts[-2], cuts[-1])
+        return out, cuts
 
     # -- geometry --------------------------------------------------------
 
     def domain(self) -> Interval:
-        return (self.origin, self.origin + self.total)
+        return self._domain
 
     def interval(self, letter: str) -> Interval:
-        lo = self._left[letter]
-        return (lo, lo + self.lengths[letter])
+        return self._intervals[letter]
 
     def image_interval(self, letter: str) -> Interval:
-        lo = self._image_left[letter]
-        return (lo, lo + self.lengths[letter])
+        return self._image_intervals[letter]
 
     def left(self, letter: str) -> FieldValue:
-        return self._left[letter]
+        return self._intervals[letter][0]
 
     def translation(self, letter: str) -> FieldValue:
         return self._tau[letter]
 
     def contains(self, x: FieldValue) -> bool:
-        lo, hi = self.domain()
+        lo, hi = self._domain
         return lo <= x < hi
 
+    def _slot(self, cuts: list, x: FieldValue) -> int:
+        """Index of the interval between consecutive cuts that holds x."""
+        i = bisect_right(cuts, x)
+        if not 0 < i < len(cuts):
+            raise DomainError("point %s outside domain [%s, %s)" % (x, *self._domain))
+        return i - 1
+
     def letter_at(self, x: FieldValue) -> str:
-        if not self.contains(x):
-            raise DomainError("point %s outside domain [%s, %s)" % (x, *self.domain()))
-        for a in reversed(self.alphabet.letters):
-            if self._left[a] <= x:
-                return a
-        raise AssertionError("unreachable")
+        return self.alphabet.letters[self._slot(self._cuts, x)]
 
     # -- the map ---------------------------------------------------------
 
@@ -107,13 +122,7 @@ class Iet:
         return x + self._tau[self.letter_at(x)]
 
     def apply_inverse(self, y: FieldValue) -> FieldValue:
-        if not self.contains(y):
-            raise DomainError("point %s outside domain [%s, %s)" % (y, *self.domain()))
-        for a in self.alphabet:
-            lo = self._image_left[a]
-            if lo <= y < lo + self.lengths[a]:
-                return y - self._tau[a]
-        raise AssertionError("unreachable")
+        return y - self._tau[self.perm.images[self._slot(self._image_cuts, y)]]
 
     def apply_n(self, x: FieldValue, n: int) -> FieldValue:
         step = self.apply if n >= 0 else self.apply_inverse
@@ -125,11 +134,11 @@ class Iet:
 
     def discontinuities(self) -> tuple[FieldValue, ...]:
         """Interior left endpoints of the domain intervals, ascending."""
-        return tuple(self._left[a] for a in self.alphabet.letters[1:])
+        return tuple(self._cuts[1:-1])
 
     def discontinuities_inverse(self) -> tuple[FieldValue, ...]:
         """Interior left endpoints of the image slots, ascending."""
-        return tuple(self._image_left[y] for y in self.perm.images[1:])
+        return tuple(self._image_cuts[1:-1])
 
     def zero_connections(self) -> tuple[FieldValue, ...]:
         inv = self.discontinuities_inverse()
@@ -176,7 +185,7 @@ class Iet:
         i = self.alphabet.index(letters[0])
         if tuple(self.alphabet.letters[i : i + len(letters)]) != letters:
             raise DomainError("block %r is not contiguous" % ("".join(letters),))
-        return (self._left[letters[0]], *self.interval(letters[-1])[1:])
+        return (self.left(letters[0]), self.interval(letters[-1])[1])
 
     # -- connections -----------------------------------------------------
 

@@ -268,8 +268,9 @@ def first_return_point(t: Iet, x: FieldValue, lo, hi, cap: int = 10 ** 6) -> Ret
     letters = []
     cur = x
     for n in range(1, cap + 1):
-        letters.append(t.letter_at(cur))
-        cur = t.apply(cur)
+        a = t.letter_at(cur)
+        letters.append(a)
+        cur = cur + t.translation(a)
         if lo <= cur < hi:
             return ReturnVisit(cur, n, "".join(letters))
     raise CapExceeded("no return to the window within %d steps" % cap, cap)

@@ -212,6 +212,17 @@ class TestLanguage:
         assert lang.words_of_length(3) == ("aac", "aba", "aca", "bab", "caa")
 
 
+    def test_words_of_length_is_filter_and_sort(self, e5, diet421):
+        samples = (language(e5, 6), language_of_periodic("banana", 9),
+                   diet_language(diet421, 5))
+        for lang in samples:
+            for n in range(lang.bound + 3):
+                assert lang.words_of_length(n) == tuple(
+                    sorted(w for w in lang.words if len(w) == n)
+                ), (lang.source, n)
+            assert lang.longest() == lang.words_of_length(lang.bound)
+
+
 class TestOccurrences:
     def test_basic(self):
         assert occurrences("aea", "a") == (0, 2)

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 
@@ -294,6 +294,162 @@ def _check_order(x, y, expect: int) -> None:
     if isinstance(x, FieldValue) and isinstance(y, FieldValue):
         assert compare(x, y) == expect == -compare(y, x), case
         assert (x - y).sign() == expect, case
+
+
+class TestFloatsRejected:
+    @pytest.mark.parametrize("build", [
+        lambda: FieldValue(0.1),
+        lambda: FieldValue(1, 0.5, 5),
+        lambda: FieldValue(1, 0, 0, 2.0),
+        lambda: FieldValue(Fraction(1, 3), 1.5, 2),
+        lambda: make_quadratic(0.5, 1, 5),
+        lambda: make_quadratic(1, 0.5, 5),
+        lambda: make_rational(0.5),
+        lambda: make_rational(1, 2.0),
+        lambda: FieldValue("1/2"),
+    ])
+    def test_non_exact_coefficient(self, build):
+        with pytest.raises(DomainError, match="coefficients must be int or Fraction"):
+            build()
+
+    def test_float_radicand(self):
+        with pytest.raises(DomainError, match="radicand"):
+            FieldValue(1, 1, 5.0)
+
+
+def _squarefree(d: int) -> tuple[int, int]:
+    """d = s*s*f with f square-free, by trial division over small d."""
+    s = 1
+    for k in range(2, isqrt(d) + 1):
+        while d % (k * k) == 0:
+            d //= k * k
+            s *= k
+    return s, d
+
+
+def _ref(p, q, d: int) -> tuple[Fraction, Fraction, int]:
+    """The reference form of p + q*sqrt(d): a Fraction pair and a
+    square-free radicand, with q == 0 exactly when d == 0."""
+    p, q = Fraction(p), Fraction(q)
+    if q and d:
+        s, d = _squarefree(d)
+        p, q, d = (p + q * s, Fraction(0), 0) if d == 1 else (p, q * s, d)
+    return (p, q, d) if q and d else (p, Fraction(0), 0)
+
+
+def _ref_join(x, y) -> int:
+    return x[2] or y[2]
+
+
+def _ref_add(x, y, sign=1):
+    return _ref(x[0] + sign * y[0], x[1] + sign * y[1], _ref_join(x, y))
+
+
+def _ref_mul(x, y):
+    d = _ref_join(x, y)
+    return _ref(x[0] * y[0] + x[1] * y[1] * d, x[0] * y[1] + x[1] * y[0], d)
+
+
+def _ref_div(x, y):
+    d = _ref_join(x, y)
+    den = y[0] * y[0] - y[1] * y[1] * d
+    return _ref((x[0] * y[0] - x[1] * y[1] * d) / den, (x[1] * y[0] - x[0] * y[1]) / den, d)
+
+
+def _ref_str(x) -> str:
+    p, q, d = x
+    if not q:
+        return str(p)
+    root = "%s*sqrt(%d)" % (abs(q), d)
+    if not p:
+        return root if q > 0 else "-" + root
+    return "%s %s %s" % (p, "+" if q > 0 else "-", root)
+
+
+def _ref_decimal(x, digits: int) -> str:
+    """Truncated decimal: the largest m with p*10^k - m + q*10^k*sqrt(d) >= 0,
+    found near a rational estimate of sqrt(d) and decided by the interval
+    oracle."""
+    p, q, d = x
+    neg = _interval_sign(p, q, d) < 0
+    if neg:
+        p, q = -p, -q
+    scale = 10 ** digits
+    p, q = p * scale, q * scale
+    bits = 64 + abs(q.numerator).bit_length()
+    root = Fraction(isqrt(d << (2 * bits)), 1 << bits)
+    guess = (p + q * root).__floor__()
+    m = max(m for m in range(guess - 2, guess + 3) if _interval_sign(p - m, q, d) >= 0)
+    whole, frac = divmod(m, scale)
+    out = "%d.%0*d" % (whole, digits, frac)
+    return "-" + out if neg else out
+
+
+def _check_against_ref(v: FieldValue, ref) -> None:
+    p, q, d = ref
+    case = (v, ref)
+    assert all(type(c) is int for c in (v.a, v.b, v.d, v.n)), case
+    assert v.n > 0 and gcd(v.a, v.b, v.n) == 1 and (v.b == 0) == (v.d == 0), case
+    assert (v.p, v.q, v.d) == (p, q, d), case
+    assert v == FieldValue(p, q, d) and hash(v) == hash(FieldValue(p, q, d)), case
+    assert str(v) == _ref_str(ref), case
+    assert v.is_rational() == (q == 0) and v.is_zero() == (p == q == 0), case
+    if q == 0:
+        assert v == p and p == v and hash(v) == hash(p), case
+    assert v.decimal(12) == _ref_decimal(ref, 12), case
+
+
+REF_RADICANDS = (0, 2, 3, 5, 8, 12, 18, 45, 50, 4, 9)
+
+
+def _ref_coefficient(rng: random.Random):
+    kind = rng.choice(("zero", "small", "int", "huge"))
+    if kind == "zero":
+        return 0
+    if kind == "int":
+        return rng.randint(-9, 9)
+    if kind == "small":
+        return Fraction(rng.randint(-20, 20), rng.randint(1, 12))
+    return Fraction(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** 30))
+
+
+class TestFractionPairOracle:
+    def test_every_operation_against_fraction_pairs(self):
+        rng = random.Random(4242)
+        seen = {"zero": 0, "huge": 0, "square": 0, "not square-free": 0}
+        for _ in range(500):
+            d = rng.choice(REF_RADICANDS)
+            raw = [(_ref_coefficient(rng), _ref_coefficient(rng)) for _ in range(2)]
+            x, y = (FieldValue(p, q, d) for p, q in raw)
+            rx, ry = (_ref(p, q, d) for p, q in raw)
+            _check_against_ref(x, rx)
+            _check_against_ref(-x, _ref(-rx[0], -rx[1], rx[2]))
+            _check_against_ref(x + y, _ref_add(rx, ry))
+            _check_against_ref(x - y, _ref_add(rx, ry, -1))
+            _check_against_ref(x * y, _ref_mul(rx, ry))
+            if not y.is_zero():
+                _check_against_ref(x / y, _ref_div(rx, ry))
+            else:
+                with pytest.raises(DomainError, match="division by zero"):
+                    x / y
+            # a plain int or Fraction on either side
+            r = rng.choice((rng.randint(-7, 7), Fraction(rng.randint(-50, 50), rng.randint(1, 9))))
+            rr = _ref(r, 0, 0)
+            _check_against_ref(x + r, _ref_add(rx, rr))
+            _check_against_ref(r + x, _ref_add(rr, rx))
+            _check_against_ref(x - r, _ref_add(rx, rr, -1))
+            _check_against_ref(r - x, _ref_add(rr, rx, -1))
+            _check_against_ref(x * r, _ref_mul(rx, rr))
+            _check_against_ref(r * x, _ref_mul(rr, rx))
+            if r:
+                _check_against_ref(x / r, _ref_div(rx, rr))
+            if not x.is_zero():
+                _check_against_ref(r / x, _ref_div(rr, rx))
+            seen["zero"] += x.is_zero() or y.is_zero()
+            seen["huge"] += any(abs(Fraction(c).numerator) > 10 ** 20 for c in raw[0])
+            seen["square"] += d in (4, 9)
+            seen["not square-free"] += d in (8, 12, 18, 45, 50)
+        assert min(seen.values()) >= 40, seen
 
 
 class TestParsing:

@@ -1,12 +1,14 @@
 """Core transformation geometry on the fixture instances."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from ietbwt.errors import DomainError
-from ietbwt.exact import make_quadratic, make_rational
+from ietbwt.exact import FieldValue, make_quadratic, make_rational
+from ietbwt.induction import first_return_point
 from ietbwt.iet import (
     Connection,
     Iet,
@@ -17,7 +19,7 @@ from ietbwt.iet import (
     iet_from_json,
 )
 
-from conftest import fv, random_rational_iet
+from conftest import fv, make_e5, make_sym4, random_rational_iet
 
 
 class TestGeometry:
@@ -136,6 +138,107 @@ class TestBlocks:
         assert not e5.is_invariant_block("b")
 
 
+def _scan_oracle(t: Iet):
+    """letter_at, apply, apply_inverse, contains, domain and interval by a
+    linear scan over intervals accumulated from the origin, independent of
+    the geometry Iet stores."""
+
+    def tile(order):
+        out, acc = {}, t.origin
+        for x in order:
+            out[x] = (acc, acc + t.lengths[x])
+            acc = out[x][1]
+        return out
+
+    dom, img = tile(t.alphabet.letters), tile(t.perm.images)
+    domain = (t.origin, dom[t.alphabet.letters[-1]][1])
+
+    def find(slots, x):
+        hits = [y for y, (lo, hi) in slots.items() if lo <= x < hi]
+        assert len(hits) <= 1
+        return hits[0] if hits else None
+
+    def letter_at(x):
+        return find(dom, x)
+
+    def apply(x):
+        a = find(dom, x)
+        return None if a is None else x - dom[a][0] + img[a][0]
+
+    def apply_inverse(y):
+        a = find(img, y)
+        return None if a is None else y - img[a][0] + dom[a][0]
+
+    return domain, dom, letter_at, apply, apply_inverse
+
+
+def _shifted_e5() -> Iet:
+    return make_e5().with_origin(make_quadratic(Fraction(-2, 3), 1, 5))
+
+
+def _blocks_iet() -> Iet:
+    """Invariant blocks ab and cd: the map is not minimal."""
+    lengths = {"a": make_rational(1, 5), "b": make_rational(1, 3),
+               "c": make_rational(2, 7), "d": make_rational(1, 9)}
+    return Iet("abcd", lengths, "badc")
+
+
+class TestGeometryOracle:
+    EXCHANGES = {
+        "rational": lambda: Iet("abcde", {x: make_rational(n, 17) for x, n in
+                                         zip("abcde", (3, 1, 5, 2, 6))}, "cedab"),
+        "sqrt5 origin": _shifted_e5,
+        "sym4": make_sym4,
+        "blocks": _blocks_iet,
+    }
+
+    @pytest.mark.parametrize("name", sorted(EXCHANGES))
+    def test_matches_linear_scan(self, name):
+        t = self.EXCHANGES[name]()
+        domain, dom, letter_at, apply, apply_inverse = _scan_oracle(t)
+        assert t.domain() == domain
+        assert all(t.interval(x) == dom[x] for x in t.alphabet)
+        lo, hi = domain
+        tiny = make_rational(1, 10 ** 9)
+        probes = [lo, hi, lo - tiny, hi + tiny, hi - tiny, lo - 1, hi + 1]
+        for x in t.alphabet:
+            for a, b in (t.interval(x), t.image_interval(x)):
+                probes += [a, b, a - tiny, a + tiny, (a + b) / 2, a + (b - a) * Fraction(6, 7)]
+        rng = random.Random(name)
+        probes += [lo + (hi - lo) * Fraction(rng.randint(0, 999), 1000) for _ in range(40)]
+        inside = 0
+        for x in probes:
+            want = letter_at(x)
+            assert t.contains(x) == (want is not None), x
+            if want is None:
+                message = re.escape("point %s outside domain [%s, %s)" % (x, lo, hi))
+                for method in (t.letter_at, t.apply, t.apply_inverse):
+                    with pytest.raises(DomainError, match=message):
+                        method(x)
+                continue
+            inside += 1
+            assert t.letter_at(x) == want, x
+            assert t.apply(x) == apply(x), x
+            assert t.apply_inverse(x) == apply_inverse(x), x
+            assert t.apply(t.apply_inverse(x)) == x == t.apply_inverse(t.apply(x))
+        assert inside >= 40
+
+    def test_first_return_reads_each_letter_once(self):
+        rng = random.Random(9)
+        for make in self.EXCHANGES.values():
+            t = make()
+            calls = []
+            lookup = t.letter_at
+            t.letter_at = lambda x: calls.append(x) or lookup(x)
+            lo, hi = t.interval(t.alphabet.letters[-1])
+            for _ in range(10):
+                x = lo + (hi - lo) * Fraction(rng.randint(0, 99), 100)
+                calls.clear()
+                visit = first_return_point(t, x, lo, hi)
+                assert len(calls) == visit.time
+                assert calls[0] == x
+
+
 class TestConnections:
     def test_keane_probe_e5(self, e5):
         assert e5.keane_probe(10) == Connection(
@@ -178,6 +281,22 @@ class TestConstruction:
         with pytest.raises(DomainError):
             Iet("ab", ok, "cb")
         Iet("ab", ok, "ba")
+
+    def test_int_and_fraction_lengths_are_coerced(self):
+        t = Iet("ab", {"a": 1, "b": Fraction(1, 2)}, "ba", origin=-1)
+        assert t == Iet("ab", {"a": make_rational(1), "b": make_rational(1, 2)}, "ba",
+                        origin=make_rational(-1))
+        assert all(isinstance(v, FieldValue) for v in (*t.lengths.values(), t.origin))
+        assert t.domain() == (make_rational(-1), make_rational(1, 2))
+        assert t.apply(make_rational(0)) == make_rational(-1)
+
+    def test_non_exact_lengths_rejected(self):
+        for bad in (0.5, "1/2", None):
+            with pytest.raises(DomainError, match="length of 'b' must be an int, Fraction"):
+                Iet("ab", {"a": 1, "b": bad}, "ba")
+        for bad in (0.0, "0", [0]):
+            with pytest.raises(DomainError, match="origin must be an int, Fraction"):
+                Iet("ab", {"a": 1, "b": 2}, "ba", origin=bad)
 
     def test_translate(self, e5):
         shifted = e5.translate(make_rational(1))
