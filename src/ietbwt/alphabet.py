@@ -139,33 +139,8 @@ class Perm:
                 "letter %r not in base %r" % (letter, "".join(self.letters))
             ) from None
 
-    def inverse(self) -> "Perm":
-        inv = {y: x for x, y in zip(self.letters, self.images)}
-        return Perm(self.letters, tuple(inv[x] for x in self.letters))
-
     def one_line(self) -> str:
         return "".join(self.images)
-
-    def cycles(self) -> tuple[tuple[str, ...], ...]:
-        """Cycle decomposition; each cycle starts at its least letter,
-        cycles sorted by first letter, fixed points included."""
-        seen: set[str] = set()
-        out = []
-        for start in sorted(self.letters):
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            y = self(start)
-            while y != start:
-                cyc.append(y)
-                seen.add(y)
-                y = self(y)
-            out.append(tuple(cyc))
-        return tuple(out)
-
-    def is_identity(self) -> bool:
-        return self.letters == self.images
 
     def is_symmetric(self) -> bool:
         return self.images == self.letters[::-1]
@@ -181,16 +156,23 @@ class Perm:
             raise DomainError("subset %r not within base" % ("".join(sorted(keep)),))
         return Perm(sub_letters, sub_images)
 
-    def to_json(self) -> str:
-        return self.one_line()
-
     @classmethod
     def from_json(cls, letters: LettersLike, obj) -> "Perm":
+        """A one-line row, or an object with "one_line" (a row) or "cycles"
+        (a list of cycles); rows and cycles are strings or lists of letters."""
         if isinstance(obj, str):
             return cls.from_one_line(letters, obj)
         if isinstance(obj, dict):
             if "one_line" in obj:
-                return cls.from_one_line(letters, obj["one_line"])
-            if "cycles" in obj:
+                if _is_letters(obj["one_line"]):
+                    return cls.from_one_line(letters, obj["one_line"])
+            elif isinstance(obj.get("cycles"), list) and all(map(_is_letters, obj["cycles"])):
                 return cls.from_cycles(letters, obj["cycles"])
         raise DomainError("cannot read permutation from %r" % (obj,))
+
+
+def _is_letters(obj) -> bool:
+    """Whether a JSON value is a string or a list of strings."""
+    return isinstance(obj, str) or (
+        isinstance(obj, list) and all(isinstance(x, str) for x in obj)
+    )

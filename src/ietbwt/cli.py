@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import accumulate
 
 from .alphabet import Perm
 from .coding import (
@@ -18,6 +19,7 @@ from .coding import (
     language_of_periodic,
     left_return_words,
     right_return_words,
+    trajectory,
 )
 from .errors import CapExceeded, DomainError
 from .exact import parse_value
@@ -196,14 +198,9 @@ def cmd_eval(args):
 def cmd_orbit(args):
     t = _load_iet(args)
     x = parse_value(args.point)
-    if args.steps < 0:
-        raise DomainError("trajectory length must be non-negative")
-    letters, points = [], [x]
-    for _ in range(args.steps):
-        letters.append(t.letter_at(points[-1]))
-        points.append(points[-1] + t.translation(letters[-1]))
-    del points[max(args.steps, 1) :]  # one per letter; --steps 0 keeps the start
-    word = "".join(letters)
+    word = trajectory(t, x, args.steps)
+    # one point per letter; --steps 0 keeps the start
+    points = list(accumulate(map(t.translation, word), initial=x))[: max(args.steps, 1)]
     data = {"word": word, "points": [str(p) for p in points]}
     return data, [word] + data["points"]
 

@@ -12,7 +12,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
-from typing import Iterable, Optional, Union
+from typing import Optional
 
 from .alphabet import Alphabet, LettersLike
 from .errors import DomainError
@@ -128,9 +128,6 @@ class LanguageSample:
 
     def words_of_length(self, n: int) -> tuple[str, ...]:
         return self._by_length.get(n, ())
-
-    def longest(self) -> tuple[str, ...]:
-        return self.words_of_length(self.bound)
 
 
 def language(t: Iet, bound: int) -> LanguageSample:

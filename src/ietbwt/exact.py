@@ -288,7 +288,6 @@ def _floor_scaled(v: FieldValue, scale: int) -> int:
 
 
 ZERO = FieldValue(0)
-ONE = FieldValue(1)
 
 
 def make_rational(num: int, den: int = 1) -> FieldValue:
@@ -356,6 +355,3 @@ def value_from_json(obj) -> FieldValue:
         return FieldValue(p, q, d)
     raise DomainError("cannot read value from %r" % (obj,))
 
-
-def value_to_json(v: FieldValue) -> str:
-    return str(v)

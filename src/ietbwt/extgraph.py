@@ -89,12 +89,6 @@ def extension_graph(lang: LanguageSample, word: str) -> ExtensionGraph:
     return ExtensionGraph(word, left, right, edges)
 
 
-def order_from_permutation(perm: Perm) -> tuple:
-    """The order the permutation's rows read left to right, used to sort
-    left vertices when testing a clustering candidate."""
-    return perm.images
-
-
 def compatible(graph: ExtensionGraph, left_order, right_order) -> bool:
     """Whether the edge relation is monotone: strictly increasing left
     vertices never see decreasing right vertices."""
@@ -197,5 +191,5 @@ def periodic_clustering_report(
         max_word_len = len(word)
     lang = language_of_periodic(word, max_word_len + 2)
     return classify_language(
-        lang, order_from_permutation(perm), perm.letters, max_word_len
+        lang, perm.images, perm.letters, max_word_len
     )

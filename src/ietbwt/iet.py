@@ -73,7 +73,6 @@ class Iet:
         self._intervals, self._cuts = self._tile(self.alphabet.letters)
         self._image_intervals, self._image_cuts = self._tile(self.perm.images)
         self._domain = (self.origin, self._cuts[-1])
-        self.total = self._cuts[-1] - self.origin
         self._tau = {x: self._image_intervals[x][0] - self.left(x) for x in self.alphabet}
 
     def _tile(self, order) -> tuple[dict[str, Interval], list[FieldValue]]:
@@ -157,21 +156,13 @@ class Iet:
         base = self.alphabet.letters
         row = self.perm.images
         k = len(base)
-        dom_prefix = [ZERO]
-        img_prefix = [ZERO]
-        for i in range(k):
-            dom_prefix.append(dom_prefix[-1] + self.lengths[base[i]])
-            img_prefix.append(img_prefix[-1] + self.lengths[row[i]])
         out = []
         for i in range(k):
+            if self._cuts[i] != self._image_cuts[i]:
+                continue
             for j in range(i, k):
-                if i == 0 and j == k - 1:
-                    continue
-                if set(base[i : j + 1]) != set(row[i : j + 1]):
-                    continue
-                if dom_prefix[i] != img_prefix[i]:
-                    continue
-                out.append(base[i : j + 1])
+                if (i, j) != (0, k - 1) and set(base[i : j + 1]) == set(row[i : j + 1]):
+                    out.append(base[i : j + 1])
         return tuple(out)
 
     def is_invariant_block(self, block: Iterable[str]) -> bool:

@@ -1,6 +1,6 @@
 """Induction on interval exchanges: one-sided Rauzy steps for arbitrary
-length comparisons, splitting along invariant blocks, circular reordering,
-admissibility windows, and the driver that induces onto a cylinder.
+length comparisons, splitting along invariant blocks, admissibility
+windows, and the driver that induces onto a cylinder.
 
 Every right step is built geometrically as a first-return map of a
 declared partition of the sub-domain; the classical row and substitution
@@ -29,6 +29,9 @@ from .coding import (
 from .errors import CapExceeded, DomainError, check
 from .exact import FieldValue, ZERO, compare
 from .iet import Iet, Interval
+
+_WALK_CAP = 16  # iterates a step's declared piece may take to land back
+_ORBIT_CAP = 10 ** 6  # iterates of a brute-force orbit walk
 
 
 def z_interval(t: Iet) -> Interval:
@@ -77,7 +80,7 @@ class StepRecord:
         return out
 
 
-def _induced_from_partition(t: Iet, lo, hi, pieces, walk_cap: int = 16):
+def _induced_from_partition(t: Iet, lo, hi, pieces):
     """First-return map of t on [lo, hi) for a declared partition.
 
     pieces: (letter, left, width) triples tiling [lo, hi).  Each piece must
@@ -95,7 +98,7 @@ def _induced_from_partition(t: Iet, lo, hi, pieces, walk_cap: int = 16):
     for letter, plo, width in pieces:
         cur = plo
         word = []
-        for _ in range(walk_cap):
+        for _ in range(_WALK_CAP):
             a = t.letter_at(cur)
             check(cur + width <= t.interval(a)[1], "piece does not move rigidly")
             word.append(a)
@@ -103,7 +106,7 @@ def _induced_from_partition(t: Iet, lo, hi, pieces, walk_cap: int = 16):
             if lo <= cur and cur + width <= hi:
                 break
         else:
-            raise CapExceeded("first-return walk exceeded %d steps" % walk_cap, walk_cap)
+            raise CapExceeded("first-return walk exceeded %d steps" % _WALK_CAP, _WALK_CAP)
         landings.append((cur, letter))
         itineraries[letter] = "".join(word)
         lengths[letter] = width
@@ -230,27 +233,6 @@ def split(t: Iet, block) -> tuple[tuple[Iet, StepRecord], tuple[Iet, StepRecord]
     return (tb, rec_b), (tc, rec_c)
 
 
-def circular_reorder(t: Iet, letter: str) -> StepRecord:
-    """Conjugate by the rotation that moves the given letter's interval to
-    the front.  The cut must be a connection point so both the domain and
-    the image partition rotate cleanly."""
-    cut = t.left(letter)
-    lo, hi = t.domain()
-    if cut == lo:
-        return StepRecord("reorder", t, t, identity_morphism(t.alphabet))
-    if not any(cut == z for z in t.zero_connections()):
-        raise DomainError("cut at %s is not a connection point" % cut)
-    i = t.alphabet.index(letter)
-    new_letters = t.alphabet.letters[i:] + t.alphabet.letters[:i]
-    j = next(
-        jj for jj, y in enumerate(t.perm.images) if t.image_interval(y)[0] == cut
-    )
-    new_row = t.perm.images[j:] + t.perm.images[:j]
-    t2 = Iet(new_letters, dict(t.lengths), Perm(new_letters, new_row), origin=cut)
-    morphism = LetterMorphism(new_letters, t.alphabet, {x: x for x in new_letters})
-    return StepRecord("reorder", t, t2, morphism)
-
-
 # -- first returns and admissibility ------------------------------------
 
 
@@ -261,22 +243,22 @@ class ReturnVisit:
     itinerary: str
 
 
-def first_return_point(t: Iet, x: FieldValue, lo, hi, cap: int = 10 ** 6) -> ReturnVisit:
+def first_return_point(t: Iet, x: FieldValue, lo, hi) -> ReturnVisit:
     """Brute-force first return of x to [lo, hi) with its coding."""
     if not (lo <= x < hi):
         raise DomainError("point %s outside window [%s, %s)" % (x, lo, hi))
     letters = []
     cur = x
-    for n in range(1, cap + 1):
+    for n in range(1, _ORBIT_CAP + 1):
         a = t.letter_at(cur)
         letters.append(a)
         cur = cur + t.translation(a)
         if lo <= cur < hi:
             return ReturnVisit(cur, n, "".join(letters))
-    raise CapExceeded("no return to the window within %d steps" % cap, cap)
+    raise CapExceeded("no return to the window within %d steps" % _ORBIT_CAP, _ORBIT_CAP)
 
 
-def orbit_window(t: Iet, z: FieldValue, window: Interval, cap: int = 10 ** 6):
+def orbit_window(t: Iet, z: FieldValue, window: Interval):
     """The finite orbit segment of z delimited by the open interior of the
     window: forward iterates stop before entering it, backward iterates
     stop on entering it, and a periodic orbit closes the segment."""
@@ -285,16 +267,16 @@ def orbit_window(t: Iet, z: FieldValue, window: Interval, cap: int = 10 ** 6):
         raise DomainError("point %s outside domain" % z)
     out = {z}
     cur = t.apply(z)
-    for _ in range(cap):
+    for _ in range(_ORBIT_CAP):
         if u < cur < v or cur == z:
             break
         out.add(cur)
         cur = t.apply(cur)
     else:
-        raise CapExceeded("forward orbit exceeded %d steps" % cap, cap)
+        raise CapExceeded("forward orbit exceeded %d steps" % _ORBIT_CAP, _ORBIT_CAP)
     if not (u < z < v):
         cur = t.apply_inverse(z)
-        for _ in range(cap):
+        for _ in range(_ORBIT_CAP):
             if cur == z:
                 break
             out.add(cur)
@@ -302,26 +284,26 @@ def orbit_window(t: Iet, z: FieldValue, window: Interval, cap: int = 10 ** 6):
                 break
             cur = t.apply_inverse(cur)
         else:
-            raise CapExceeded("backward orbit exceeded %d steps" % cap, cap)
+            raise CapExceeded("backward orbit exceeded %d steps" % _ORBIT_CAP, _ORBIT_CAP)
     return tuple(sorted(out))
 
 
-def div_set(t: Iet, window: Interval, cap: int = 10 ** 6):
+def div_set(t: Iet, window: Interval):
     """Union of the orbit segments of all discontinuities."""
     pts = set()
     for g in t.discontinuities():
-        pts.update(orbit_window(t, g, window, cap))
+        pts.update(orbit_window(t, g, window))
     return tuple(sorted(pts))
 
 
-def is_admissible(t: Iet, window: Interval, cap: int = 10 ** 6) -> bool:
+def is_admissible(t: Iet, window: Interval) -> bool:
     """Whether both window endpoints are reachable cut points: members of
     the discontinuity orbit set, or the right end of the domain."""
     u, v = window
     lo, hi = t.domain()
     if not (lo <= u < v <= hi):
         raise DomainError("window [%s, %s) not inside domain" % (u, v))
-    allowed = set(div_set(t, window, cap))
+    allowed = set(div_set(t, window))
     allowed.add(hi)
     return u in allowed and v in allowed
 

@@ -7,6 +7,17 @@ from ietbwt.exact import FieldValue, make_quadratic, make_rational
 from ietbwt.iet import Iet, diet_spec
 
 
+# permutation objects that hold no row or cycle list of letters
+BAD_PERMUTATIONS = (
+    {"cycles": 5},
+    {"cycles": [5]},
+    {"cycles": [[["a"]]]},
+    {"one_line": 5},
+    {"cycles": "ab"},
+    {"cycles": [{"a": 1}]},
+)
+
+
 def fv(p, q=0, d=0) -> FieldValue:
     return make_quadratic(Fraction(p), Fraction(q), d)
 

@@ -1,0 +1,34 @@
+"""The public names, and the benchmark tracer's hooks into them: the tracer
+wraps named functions and methods from outside, so a deleted name breaks
+only traced benchmark runs unless these tests catch it."""
+
+import os
+
+import ietbwt
+from ietbwt.coding import cylinders
+from ietbwt.iet import Iet
+
+from conftest import fv, make_e5
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+
+
+def test_all_names_resolve():
+    assert [name for name in ietbwt.__all__ if not hasattr(ietbwt, name)] == []
+
+
+def test_tracer_installs_and_uninstalls(monkeypatch):
+    monkeypatch.syspath_prepend(BENCH)
+    import tracer
+
+    letter_at = Iet.letter_at
+    traced = tracer.Tracer()
+    try:
+        traced.install()
+        assert Iet.letter_at is not letter_at
+        make_e5().apply(fv(0))
+        assert traced.calls["iet.letter_at"] == 1
+    finally:
+        traced.uninstall()
+    assert Iet.letter_at is letter_at
+    assert ietbwt.coding.cylinders is cylinders

@@ -10,6 +10,8 @@ import pytest
 import ietbwt
 from ietbwt.cli import main
 
+from conftest import BAD_PERMUTATIONS
+
 
 RAT2 = ["--lengths", "a=1/3,b=2/3", "--row", "ba"]
 E5 = [
@@ -338,13 +340,16 @@ def test_domain_error_exits_1(capsys):
 def test_bad_inputs_exit_1(capsys, tmp_path):
     code, out, err = run(capsys, ["lyndon", ""])
     assert (code, out) == (1, "") and "empty word" in err
-    for field, value, message in (
+    bad_fields = [
         ("lengths", ["1/3", "2/3"], "lengths must be an object"),
         ("alphabet", 5, "alphabet must be a string or a list"),
-    ):
+        ("alphabet", "", "alphabet must be non-empty"),
+    ]
+    bad_fields += [("permutation", p, "cannot read permutation from") for p in BAD_PERMUTATIONS]
+    for i, (field, value, message) in enumerate(bad_fields):
         obj = {"alphabet": "ab", "lengths": {"a": "1/3", "b": "2/3"}, "permutation": "ba"}
         obj[field] = value
-        path = tmp_path / ("bad_%s.json" % field)
+        path = tmp_path / ("bad_%d.json" % i)
         path.write_text(json.dumps(obj))
         code, out, err = run(capsys, ["info", "--iet", str(path)])
         assert (code, out) == (1, "") and message in err
@@ -355,6 +360,10 @@ def test_bad_inputs_exit_1(capsys, tmp_path):
     for word_len in ("0", "-1"):
         code, out, err = run(capsys, ["verify"] + RAT2 + ["--word-len", word_len])
         assert (code, out) == (1, "") and "word length must be at least 1" in err
+    code, out, err = run(capsys, ["info", "--diet", ",".join("1" * 27) + "/" + "a" * 27])
+    assert (code, out) == (1, "") and "need 1 <= k <= 26, got 27" in err
+    code, out, err = run(capsys, ["cylinders"] + RAT2 + ["--depth", "-1"])
+    assert (code, out) == (1, "") and "depth must be non-negative" in err
 
 
 def test_zero_denominator_exits_1(capsys):

@@ -220,7 +220,6 @@ class TestLanguage:
                 assert lang.words_of_length(n) == tuple(
                     sorted(w for w in lang.words if len(w) == n)
                 ), (lang.source, n)
-            assert lang.longest() == lang.words_of_length(lang.bound)
 
 
 class TestOccurrences:
@@ -266,6 +265,8 @@ class TestReturnWords:
     def test_bound_too_small(self, e5_lang):
         with pytest.raises(DomainError):
             left_return_words(e5_lang, "a", 13)
+        with pytest.raises(DomainError, match="max_len must be positive"):
+            left_return_words(e5_lang, "a", 0)
 
     def test_incomplete_flag(self, e5):
         lang = language(e5, 3)

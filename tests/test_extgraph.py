@@ -12,7 +12,6 @@ from ietbwt.extgraph import (
     classify_language,
     compatible,
     extension_graph,
-    order_from_permutation,
     periodic_clustering_report,
 )
 from ietbwt.words import is_pi_clustering
@@ -58,11 +57,6 @@ def test_diet_language_is_ordered_alsinic(lang421):
     assert report.ordered_alsinic
     assert report.first_non_forest is None
     assert report.first_incompatible is None
-
-
-def test_order_from_permutation():
-    p = Perm.from_one_line(("a", "b", "c"), "cba")
-    assert order_from_permutation(p) == ("c", "b", "a")
 
 
 def test_incompatible_pair_detected():

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from ietbwt.alphabet import Perm
 from ietbwt.errors import DomainError
 from ietbwt.exact import FieldValue, make_quadratic, make_rational
 from ietbwt.induction import first_return_point
@@ -19,7 +20,7 @@ from ietbwt.iet import (
     iet_from_json,
 )
 
-from conftest import fv, make_e5, make_sym4, random_rational_iet
+from conftest import BAD_PERMUTATIONS, fv, make_e5, make_sym4, random_rational_iet
 
 
 class TestGeometry:
@@ -280,6 +281,8 @@ class TestConstruction:
             )
         with pytest.raises(DomainError):
             Iet("ab", ok, "cb")
+        with pytest.raises(DomainError, match="permutation base 'ba' does not match"):
+            Iet("ab", ok, Perm.identity("ba"))
         Iet("ab", ok, "ba")
 
     def test_int_and_fraction_lengths_are_coerced(self):
@@ -319,6 +322,18 @@ class TestConstruction:
             iet_from_json(dict(good, lengths=["1/3", "2/3"]))
         with pytest.raises(DomainError, match="alphabet must be a string or a list"):
             iet_from_json(dict(good, alphabet=5))
+        with pytest.raises(DomainError, match="alphabet must be non-empty"):
+            iet_from_json(dict(good, alphabet=""))
+        for perm in BAD_PERMUTATIONS:
+            with pytest.raises(DomainError, match="cannot read permutation from"):
+                iet_from_json(dict(good, permutation=perm))
+
+    def test_json_permutation_forms(self):
+        good = {"alphabet": "ab", "lengths": {"a": "1/3", "b": "2/3"}, "permutation": "ba"}
+        want = iet_from_json(good)
+        for perm in ({"one_line": "ba"}, {"one_line": ["b", "a"]}, {"cycles": [["a", "b"]]},
+                     {"cycles": ["ab"]}):
+            assert iet_from_json(dict(good, permutation=perm)) == want, perm
 
 
 class TestDiet:

@@ -16,7 +16,6 @@ from ietbwt.errors import CapExceeded, DomainError
 from ietbwt.exact import make_rational
 from ietbwt.iet import Iet, diet_to_iet
 from ietbwt.induction import (
-    circular_reorder,
     div_set,
     first_return_point,
     induce_to_cylinder,
@@ -62,6 +61,9 @@ def test_windows_need_two_letters():
     t = Iet(("a",), {"a": make_rational(1)}, "a")
     with pytest.raises(DomainError):
         z_interval(t)
+    for step in (right_step, left_step):
+        with pytest.raises(DomainError, match="need at least two letters"):
+            step(t)
 
 
 # -- single steps --------------------------------------------------------
@@ -274,36 +276,8 @@ def test_split_edge_blocks_have_no_glue(e5):
 def test_split_rejects_non_block(e5):
     with pytest.raises(DomainError):
         split(e5, ("a", "b"))
-
-
-# -- circular reordering -------------------------------------------------
-
-
-def test_reorder_e5_at_b(e5):
-    rec = circular_reorder(e5, "b")
-    t2 = rec.after
-    assert t2.alphabet.letters == ("b", "c", "d", "e", "a")
-    assert t2.perm.images == ("c", "b", "d", "a", "e")
-    total = e5.total
-    cut = e5.left("b")
-
-    def rot(x):
-        return x if x >= cut else x + total
-
-    for letter in e5.alphabet:
-        for x in _samples(*e5.interval(letter), n=3):
-            assert t2.apply(rot(x)) == rot(e5.apply(x))
-
-
-def test_reorder_at_first_letter_is_identity(e5):
-    rec = circular_reorder(e5, "a")
-    assert rec.after is e5
-    assert rec.morphism.is_identity()
-
-
-def test_reorder_needs_connection_cut(e5):
-    with pytest.raises(DomainError):
-        circular_reorder(e5, "c")
+    with pytest.raises(DomainError, match="letter 'z' not in alphabet"):
+        split(e5, "z")
 
 
 # -- orbit windows and admissibility ------------------------------------
@@ -318,6 +292,11 @@ def test_div_set_full_domain_e5(e5):
 def test_orbit_window_fixed_point(e5):
     window = e5.interval("c")
     assert orbit_window(e5, fv(Fraction(2, 3)), window) == (fv(Fraction(2, 3)),)
+
+
+def test_first_return_from_outside_window(e5):
+    with pytest.raises(DomainError, match="outside window"):
+        first_return_point(e5, fv(Fraction(1, 2)), fv(0), fv(Fraction(1, 3)))
 
 
 def test_admissibility_e5(e5):

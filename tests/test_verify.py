@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from ietbwt.coding import language, left_return_words
 from ietbwt.errors import DomainError
 from ietbwt.iet import diet_to_iet
 from ietbwt.verify import (
@@ -68,6 +69,22 @@ def test_induction_consistency_e5(e5):
     )
     assert by_word["ae"].set_match
     assert by_word["ae"].point_match
+
+
+def test_induction_consistency_incomplete_factors(e5, rational2):
+    # with short return bounds some factors have return words longer than
+    # the bound; only the produced words within it must match
+    for t, word_len, return_len, incomplete in (
+        (e5, 2, 2, {"c", "bb", "bc", "cb"}),
+        (rational2, 1, 1, {"a", "b"}),
+    ):
+        lang = language(t, word_len + return_len)
+        found = {w for w in lang.words if 0 < len(w) <= word_len
+                 and not left_return_words(lang, w, return_len)[1]}
+        assert found == incomplete
+        report = verify_induction_consistency(t, word_len, return_len, samples=1)
+        assert report.ok, report.failures()
+        assert {c.word for c in report.checks} >= incomplete
 
 
 def test_induction_consistency_diet(diet421):
