@@ -16,15 +16,17 @@ LettersLike = Union[str, Iterable[str], "Alphabet"]
 
 
 class Alphabet:
-    """Immutable ordered collection of distinct single-character letters."""
+    """Immutable ordered collection of distinct single-character letters.
+
+    ``Alphabet(a)`` for an Alphabet ``a`` is ``a`` itself; anything else is
+    checked."""
 
     __slots__ = ("letters", "_index")
 
-    def __init__(self, letters: LettersLike):
+    def __new__(cls, letters: LettersLike):
         if isinstance(letters, Alphabet):
-            seq = letters.letters
-        else:
-            seq = tuple(letters)
+            return letters
+        seq = tuple(letters)
         if not seq:
             raise DomainError("alphabet must be non-empty")
         for x in seq:
@@ -32,8 +34,10 @@ class Alphabet:
                 raise DomainError("letters must be single characters, got %r" % (x,))
         if len(set(seq)) != len(seq):
             raise DomainError("duplicate letters in %r" % ("".join(seq),))
+        self = object.__new__(cls)
         object.__setattr__(self, "letters", seq)
         object.__setattr__(self, "_index", {x: i for i, x in enumerate(seq)})
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Alphabet is immutable")
@@ -121,15 +125,17 @@ class Perm:
     @classmethod
     def from_cycles(cls, letters: LettersLike, cycles: Iterable[Iterable[str]]) -> "Perm":
         base = Alphabet(letters)
-        mapping = {x: x for x in base}
+        mapping = {}
         for cycle in cycles:
             cyc = list(cycle)
             for x in cyc:
                 if x not in base:
                     raise DomainError("cycle letter %r not in %s" % (x, base))
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                if a in mapping:
+                    raise DomainError("cycle letter %r appears twice" % (a,))
                 mapping[a] = b
-        return cls(tuple(base), tuple(mapping[x] for x in base))
+        return cls(tuple(base), tuple(mapping.get(x, x) for x in base))
 
     def __call__(self, letter: str) -> str:
         try:

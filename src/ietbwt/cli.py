@@ -59,22 +59,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(64, "%s: error: %s\n" % (self.prog, message))
 
 
-def _add_iet_args(sub):
-    sub.add_argument("--iet", metavar="PATH", help="JSON description, - for stdin")
-    sub.add_argument(
-        "--lengths",
-        metavar="SPEC",
-        help="comma separated letter=value pairs, e.g. a=1/6,b=-1/4+1/4*sqrt(5)",
-    )
-    sub.add_argument("--row", metavar="ROW", help="image order, one letter per slot")
-    sub.add_argument("--origin", metavar="VALUE", help="left end of the domain")
-    sub.add_argument(
-        "--diet",
-        metavar="SPEC",
-        help="discrete spec as counts/row, e.g. 4,2,1/cba",
-    )
-
-
 def _parse_diet_spec(text):
     try:
         counts, row = text.split("/")
@@ -364,92 +348,98 @@ def cmd_verify(args):
     return data, _lines(data, *keys)
 
 
-def build_parser() -> argparse.ArgumentParser:
+_IET_ARGS = (
+    ("--iet", dict(metavar="PATH", help="JSON description, - for stdin")),
+    ("--lengths", dict(metavar="SPEC", help="comma separated letter=value pairs, "
+                       "e.g. a=1/6,b=-1/4+1/4*sqrt(5)")),
+    ("--row", dict(metavar="ROW", help="image order, one letter per slot")),
+    ("--origin", dict(metavar="VALUE", help="left end of the domain")),
+    ("--diet", dict(metavar="SPEC", help="discrete spec as counts/row, e.g. 4,2,1/cba")),
+)
+_FORMAT = ("--format", dict(choices=("text", "json"), default="text"))
+_IET = _IET_ARGS + (_FORMAT,)  # how most subcommands open
+_ORDER = ("--order", {})
+_PERIODIC = ("--periodic", dict(metavar="WORD"))
+_POINT = ("--point", dict(required=True))
+_WORD = ("--word", dict(required=True))
+
+
+def _int(flag, default, help=None):
+    return flag, dict(type=int, default=default, help=help)
+
+
+# Every subcommand: its help line, its handler, and its arguments in the
+# order --help lists them.
+_COMMANDS = {
+    "info": ("geometry and combinatorics of a map", cmd_info,
+             _IET + (_int("--probe", 64, "connection search depth"),)),
+    "eval": ("apply the map to a point", cmd_eval, _IET + (_POINT, _int("--steps", 1))),
+    "orbit": ("coding and points of an orbit", cmd_orbit,
+              _IET + (_POINT, _int("--steps", 10))),
+    "language": ("factors of the coding language", cmd_language, _IET + (
+        ("--periodic", dict(metavar="WORD", help="use the closure of a word")),
+        _int("--depth", 4))),
+    "cylinders": ("intervals coded by each word", cmd_cylinders,
+                  _IET + (_int("--depth", 2),)),
+    "returns": ("return words of a factor", cmd_returns,
+                _IET + (_WORD, _int("--max-len", 10))),
+    "induce": ("induce onto the cylinder of a word", cmd_induce,
+               _IET + (_WORD, _int("--max-steps", 200))),
+    "bwt": ("transform of a single word", cmd_bwt, (_FORMAT, ("word", {}), _ORDER)),
+    "ebwt": ("transform of a multiset of words", cmd_ebwt,
+             (_FORMAT, ("words", dict(nargs="+")), _ORDER)),
+    "cluster": ("clustering verdict for a word", cmd_cluster, (
+        _FORMAT, ("word", {}), _ORDER,
+        ("--perm", dict(help="candidate permutation as a one line row")),
+        ("--all", dict(action="store_true", help="list all completions")))),
+    "lyndon": ("rotation facts about a word", cmd_lyndon, (_FORMAT, ("word", {}), _ORDER)),
+    "diet": ("discrete exchange facts", cmd_diet,
+             (_FORMAT, ("spec", dict(help="counts/row, e.g. 4,2,1/cba")))),
+    "extgraph": ("extension graph of a factor", cmd_extgraph, _IET_ARGS + (
+        ("--format", dict(choices=("text", "json", "dot"), default="text")),
+        _PERIODIC, _int("--depth", 8), _WORD)),
+    "classify": ("tree, forest, and order checks", cmd_classify, _IET + (
+        _PERIODIC, _int("--depth", 8),
+        ("--left", dict(required=True, help="left vertex order")),
+        ("--right", dict(required=True, help="right vertex order")),
+        _int("--max-len", None))),
+    "verify": ("library-wide consistency reports", cmd_verify, _IET + (
+        ("--check", dict(choices=list(_CHECKS), default="returns")),
+        _int("--word-len", 2), _int("--return-len", 10))),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser for one subcommand, or for all of them when command is
+    None.  A one-subcommand parser still lists every name in its usage
+    line, so its usage errors read as the full parser's do; the full
+    parser keeps argparse's metavar, which its choice errors call
+    'command'."""
     parser = _Parser(prog="ietbwt", description=__doc__)
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, help, func, iet=True, formats=("text", "json")):
-        sub = subs.add_parser(name, help=help)
-        if iet:
-            _add_iet_args(sub)
-        sub.add_argument("--format", choices=formats, default="text")
-        sub.set_defaults(func=func)
-        return sub
-
-    sub = command("info", "geometry and combinatorics of a map", cmd_info)
-    sub.add_argument("--probe", type=int, default=64, help="connection search depth")
-
-    sub = command("eval", "apply the map to a point", cmd_eval)
-    sub.add_argument("--point", required=True)
-    sub.add_argument("--steps", type=int, default=1)
-
-    sub = command("orbit", "coding and points of an orbit", cmd_orbit)
-    sub.add_argument("--point", required=True)
-    sub.add_argument("--steps", type=int, default=10)
-
-    sub = command("language", "factors of the coding language", cmd_language)
-    sub.add_argument("--periodic", metavar="WORD", help="use the closure of a word")
-    sub.add_argument("--depth", type=int, default=4)
-
-    sub = command("cylinders", "intervals coded by each word", cmd_cylinders)
-    sub.add_argument("--depth", type=int, default=2)
-
-    sub = command("returns", "return words of a factor", cmd_returns)
-    sub.add_argument("--word", required=True)
-    sub.add_argument("--max-len", type=int, default=10)
-
-    sub = command("induce", "induce onto the cylinder of a word", cmd_induce)
-    sub.add_argument("--word", required=True)
-    sub.add_argument("--max-steps", type=int, default=200)
-
-    sub = command("bwt", "transform of a single word", cmd_bwt, iet=False)
-    sub.add_argument("word")
-    sub.add_argument("--order")
-
-    sub = command("ebwt", "transform of a multiset of words", cmd_ebwt, iet=False)
-    sub.add_argument("words", nargs="+")
-    sub.add_argument("--order")
-
-    sub = command("cluster", "clustering verdict for a word", cmd_cluster, iet=False)
-    sub.add_argument("word")
-    sub.add_argument("--order")
-    sub.add_argument("--perm", help="candidate permutation as a one line row")
-    sub.add_argument("--all", action="store_true", help="list all completions")
-
-    sub = command("lyndon", "rotation facts about a word", cmd_lyndon, iet=False)
-    sub.add_argument("word")
-    sub.add_argument("--order")
-
-    sub = command("diet", "discrete exchange facts", cmd_diet, iet=False)
-    sub.add_argument("spec", help="counts/row, e.g. 4,2,1/cba")
-
-    sub = command(
-        "extgraph", "extension graph of a factor", cmd_extgraph,
-        formats=("text", "json", "dot"),
+    subs = parser.add_subparsers(
+        dest="command",
+        required=True,
+        metavar=None if command is None else "{%s}" % ",".join(_COMMANDS),
     )
-    sub.add_argument("--periodic", metavar="WORD")
-    sub.add_argument("--depth", type=int, default=8)
-    sub.add_argument("--word", required=True)
-
-    sub = command("classify", "tree, forest, and order checks", cmd_classify)
-    sub.add_argument("--periodic", metavar="WORD")
-    sub.add_argument("--depth", type=int, default=8)
-    sub.add_argument("--left", required=True, help="left vertex order")
-    sub.add_argument("--right", required=True, help="right vertex order")
-    sub.add_argument("--max-len", type=int, default=None)
-
-    sub = command("verify", "library-wide consistency reports", cmd_verify)
-    sub.add_argument("--check", choices=list(_CHECKS), default="returns")
-    sub.add_argument("--word-len", type=int, default=2)
-    sub.add_argument("--return-len", type=int, default=10)
-
+    for name, (help, _, arguments) in _COMMANDS.items():
+        if command in (None, name):
+            sub = subs.add_parser(name, help=help)
+            for flag, kw in arguments:
+                sub.add_argument(flag, **kw)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # A call whose first argument names a subcommand needs only that
+    # subparser.  Any other call (no arguments, --help, an unknown name, an
+    # option before the name) gets the full parser, whose help or usage
+    # error it prints.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
-        data, lines = args.func(args)
+        data, lines = _COMMANDS[args.command][1](args)
     except DomainError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -17,6 +17,13 @@ BAD_PERMUTATIONS = (
     {"cycles": [{"a": 1}]},
 )
 
+# Cycles over abc that repeat a letter, across two cycles or within one.
+REPEATED_CYCLES = (
+    {"cycles": [["a", "b"], ["b", "a"]]},
+    {"cycles": [["a", "b", "c"], ["c", "a", "b"]]},
+    {"cycles": [["a", "a"]]},
+)
+
 
 def fv(p, q=0, d=0) -> FieldValue:
     return make_quadratic(Fraction(p), Fraction(q), d)

@@ -1,5 +1,6 @@
 """Command line behavior: outputs, formats, and exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 import ietbwt
 from ietbwt.cli import main
 
-from conftest import BAD_PERMUTATIONS
+from conftest import BAD_PERMUTATIONS, REPEATED_CYCLES
 
 
 RAT2 = ["--lengths", "a=1/3,b=2/3", "--row", "ba"]
@@ -110,6 +111,274 @@ connection: 1/6 -> 1/6 after 0
   "L:n" -- "R:n";
 }
 """,
+    ),
+]
+
+
+# Help screens and usage errors at 80 columns, recorded with Python 3.11's
+# argparse from the CLI that built every subcommand's parser on each call.
+CHOICES = (
+    "{info,eval,orbit,language,cylinders,returns,induce,bwt,ebwt,cluster,lyndon,diet,"
+    "extgraph,classify,verify}"
+)
+TOP_USAGE = "usage: ietbwt [-h]\n              %s\n              ...\n" % CHOICES
+TOP_HELP = (
+    TOP_USAGE
+    + """
+Command line front end. Exit codes: 0 on success, 1 for domain errors (bad
+input, undefined operations), 2 when an iteration cap is exhausted, 64 for
+usage errors.
+
+positional arguments:
+  %s
+    info                geometry and combinatorics of a map
+    eval                apply the map to a point
+    orbit               coding and points of an orbit
+    language            factors of the coding language
+    cylinders           intervals coded by each word
+    returns             return words of a factor
+    induce              induce onto the cylinder of a word
+    bwt                 transform of a single word
+    ebwt                transform of a multiset of words
+    cluster             clustering verdict for a word
+    lyndon              rotation facts about a word
+    diet                discrete exchange facts
+    extgraph            extension graph of a factor
+    classify            tree, forest, and order checks
+    verify              library-wide consistency reports
+
+options:
+  -h, --help            show this help message and exit
+"""
+    % CHOICES
+)
+IET_OPTIONS_HELP = """\
+  --iet PATH            JSON description, - for stdin
+  --lengths SPEC        comma separated letter=value pairs, e.g.
+                        a=1/6,b=-1/4+1/4*sqrt(5)
+  --row ROW             image order, one letter per slot
+  --origin VALUE        left end of the domain
+  --diet SPEC           discrete spec as counts/row, e.g. 4,2,1/cba
+"""
+COMMAND_HELP = {
+    "info": """usage: ietbwt info [-h] [--iet PATH] [--lengths SPEC] [--row ROW]
+                   [--origin VALUE] [--diet SPEC] [--format {text,json}]
+                   [--probe PROBE]
+
+options:
+  -h, --help            show this help message and exit
+"""
+    + IET_OPTIONS_HELP
+    + """  --format {text,json}
+  --probe PROBE         connection search depth
+""",
+    "eval": """usage: ietbwt eval [-h] [--iet PATH] [--lengths SPEC] [--row ROW]
+                   [--origin VALUE] [--diet SPEC] [--format {text,json}]
+                   --point POINT [--steps STEPS]
+
+options:
+  -h, --help            show this help message and exit
+"""
+    + IET_OPTIONS_HELP
+    + """  --format {text,json}
+  --point POINT
+  --steps STEPS
+""",
+    "orbit": """usage: ietbwt orbit [-h] [--iet PATH] [--lengths SPEC] [--row ROW]
+                    [--origin VALUE] [--diet SPEC] [--format {text,json}]
+                    --point POINT [--steps STEPS]
+
+options:
+  -h, --help            show this help message and exit
+"""
+    + IET_OPTIONS_HELP
+    + """  --format {text,json}
+  --point POINT
+  --steps STEPS
+""",
+    "language": """usage: ietbwt language [-h] [--iet PATH] [--lengths SPEC] [--row ROW]
+                       [--origin VALUE] [--diet SPEC] [--format {text,json}]
+                       [--periodic WORD] [--depth DEPTH]
+
+options:
+  -h, --help            show this help message and exit
+"""
+    + IET_OPTIONS_HELP
+    + """  --format {text,json}
+  --periodic WORD       use the closure of a word
+  --depth DEPTH
+""",
+    "cylinders": """usage: ietbwt cylinders [-h] [--iet PATH] [--lengths SPEC] [--row ROW]
+                        [--origin VALUE] [--diet SPEC] [--format {text,json}]
+                        [--depth DEPTH]
+
+options:
+  -h, --help            show this help message and exit
+"""
+    + IET_OPTIONS_HELP
+    + """  --format {text,json}
+  --depth DEPTH
+""",
+    "returns": """usage: ietbwt returns [-h] [--iet PATH] [--lengths SPEC] [--row ROW]
+                      [--origin VALUE] [--diet SPEC] [--format {text,json}]
+                      --word WORD [--max-len MAX_LEN]
+
+options:
+  -h, --help            show this help message and exit
+"""
+    + IET_OPTIONS_HELP
+    + """  --format {text,json}
+  --word WORD
+  --max-len MAX_LEN
+""",
+    "induce": """usage: ietbwt induce [-h] [--iet PATH] [--lengths SPEC] [--row ROW]
+                     [--origin VALUE] [--diet SPEC] [--format {text,json}]
+                     --word WORD [--max-steps MAX_STEPS]
+
+options:
+  -h, --help            show this help message and exit
+"""
+    + IET_OPTIONS_HELP
+    + """  --format {text,json}
+  --word WORD
+  --max-steps MAX_STEPS
+""",
+    "bwt": """usage: ietbwt bwt [-h] [--format {text,json}] [--order ORDER] word
+
+positional arguments:
+  word
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}
+  --order ORDER
+""",
+    "ebwt": """usage: ietbwt ebwt [-h] [--format {text,json}] [--order ORDER]
+                   words [words ...]
+
+positional arguments:
+  words
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}
+  --order ORDER
+""",
+    "cluster": """usage: ietbwt cluster [-h] [--format {text,json}] [--order ORDER]
+                      [--perm PERM] [--all]
+                      word
+
+positional arguments:
+  word
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}
+  --order ORDER
+  --perm PERM           candidate permutation as a one line row
+  --all                 list all completions
+""",
+    "lyndon": """usage: ietbwt lyndon [-h] [--format {text,json}] [--order ORDER] word
+
+positional arguments:
+  word
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}
+  --order ORDER
+""",
+    "diet": """usage: ietbwt diet [-h] [--format {text,json}] spec
+
+positional arguments:
+  spec                  counts/row, e.g. 4,2,1/cba
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}
+""",
+    "extgraph": """usage: ietbwt extgraph [-h] [--iet PATH] [--lengths SPEC] [--row ROW]
+                       [--origin VALUE] [--diet SPEC]
+                       [--format {text,json,dot}] [--periodic WORD]
+                       [--depth DEPTH] --word WORD
+
+options:
+  -h, --help            show this help message and exit
+"""
+    + IET_OPTIONS_HELP
+    + """  --format {text,json,dot}
+  --periodic WORD
+  --depth DEPTH
+  --word WORD
+""",
+    "classify": """usage: ietbwt classify [-h] [--iet PATH] [--lengths SPEC] [--row ROW]
+                       [--origin VALUE] [--diet SPEC] [--format {text,json}]
+                       [--periodic WORD] [--depth DEPTH] --left LEFT --right
+                       RIGHT [--max-len MAX_LEN]
+
+options:
+  -h, --help            show this help message and exit
+"""
+    + IET_OPTIONS_HELP
+    + """  --format {text,json}
+  --periodic WORD
+  --depth DEPTH
+  --left LEFT           left vertex order
+  --right RIGHT         right vertex order
+  --max-len MAX_LEN
+""",
+    "verify": """usage: ietbwt verify [-h] [--iet PATH] [--lengths SPEC] [--row ROW]
+                     [--origin VALUE] [--diet SPEC] [--format {text,json}]
+                     [--check {returns,symmetric,induction}]
+                     [--word-len WORD_LEN] [--return-len RETURN_LEN]
+
+options:
+  -h, --help            show this help message and exit
+"""
+    + IET_OPTIONS_HELP
+    + """  --format {text,json}
+  --check {returns,symmetric,induction}
+  --word-len WORD_LEN
+  --return-len RETURN_LEN
+""",
+}
+HELP_CASES = [(["--help"], TOP_HELP), (["-h", "verify"], TOP_HELP)] + [
+    ([name, "--help"], text) for name, text in COMMAND_HELP.items()
+]
+
+
+def _usage(command):
+    """The usage lines that open a subcommand's help screen."""
+    return COMMAND_HELP[command].split("\n\n")[0] + "\n"
+
+
+INVALID_COMMAND = (
+    "ietbwt: error: argument command: invalid choice: %r (choose from 'info', 'eval', "
+    "'orbit', 'language', 'cylinders', 'returns', 'induce', 'bwt', 'ebwt', 'cluster', "
+    "'lyndon', 'diet', 'extgraph', 'classify', 'verify')\n"
+)
+UNRECOGNIZED = "ietbwt: error: unrecognized arguments: --bogus\n"
+USAGE_ERRORS = [
+    ([], TOP_USAGE + "ietbwt: error: the following arguments are required: command\n"),
+    (["bogus"], TOP_USAGE + INVALID_COMMAND % "bogus"),
+    (["--format", "json"], TOP_USAGE + INVALID_COMMAND % "json"),
+    (["--", "bwt", "banana"], TOP_USAGE + INVALID_COMMAND % "--"),
+    (
+        ["cluster"],
+        _usage("cluster") + "ietbwt cluster: error: the following arguments are required: word\n",
+    ),
+    (["verify"] + RAT2 + ["--bogus"], TOP_USAGE + UNRECOGNIZED),
+    (
+        ["verify"] + RAT2 + ["--check", "nope"],
+        _usage("verify")
+        + "ietbwt verify: error: argument --check: invalid choice: 'nope' "
+        "(choose from 'returns', 'symmetric', 'induction')\n",
+    ),
+    # an option ahead of the subcommand name: the subcommand still parses the rest
+    (["--bogus", "bwt", "banana"], TOP_USAGE + UNRECOGNIZED),
+    (
+        ["--bogus", "bwt"],
+        _usage("bwt") + "ietbwt bwt: error: the following arguments are required: word\n",
     ),
 ]
 
@@ -327,6 +596,40 @@ def test_usage_errors_exit_64(capsys):
     assert exc.value.code == 64
 
 
+@pytest.mark.parametrize("argv, expected", HELP_CASES)
+def test_help_text(capsys, monkeypatch, argv, expected):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert (exc.value.code, *capsys.readouterr()) == (0, expected, "")
+
+
+@pytest.mark.parametrize("argv, expected", USAGE_ERRORS)
+def test_usage_error_text(capsys, monkeypatch, argv, expected):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert (exc.value.code, *capsys.readouterr()) == (64, "", expected)
+
+
+def test_only_the_named_subcommand_is_built(capsys, monkeypatch):
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        names.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    assert run(capsys, ["bwt", "banana"]) == (0, "nnbaaa\n", "")
+    assert names == ["bwt"]
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["ietbwt", "bwt", "banana"])
+    assert run(capsys, None) == (0, "nnbaaa\n", "")
+
+
 def test_domain_error_exits_1(capsys):
     code, _, err = run(capsys, ["bwt", "banana", "--order", "ab"])
     assert code == 1
@@ -364,6 +667,12 @@ def test_bad_inputs_exit_1(capsys, tmp_path):
     assert (code, out) == (1, "") and "need 1 <= k <= 26, got 27" in err
     code, out, err = run(capsys, ["cylinders"] + RAT2 + ["--depth", "-1"])
     assert (code, out) == (1, "") and "depth must be non-negative" in err
+    abc = {"alphabet": "abc", "lengths": {"a": "1/3", "b": "1/3", "c": "1/3"}}
+    for i, perm in enumerate(REPEATED_CYCLES):
+        path = tmp_path / ("cycles_%d.json" % i)
+        path.write_text(json.dumps(dict(abc, permutation=perm)))
+        code, out, err = run(capsys, ["info", "--iet", str(path)])
+        assert (code, out) == (1, "") and "appears twice" in err
 
 
 def test_zero_denominator_exits_1(capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from ietbwt.alphabet import Perm
+from ietbwt.alphabet import Alphabet, Perm
 from ietbwt.errors import DomainError
 from ietbwt.exact import FieldValue, make_quadratic, make_rational
 from ietbwt.induction import first_return_point
@@ -20,7 +20,14 @@ from ietbwt.iet import (
     iet_from_json,
 )
 
-from conftest import BAD_PERMUTATIONS, fv, make_e5, make_sym4, random_rational_iet
+from conftest import (
+    BAD_PERMUTATIONS,
+    REPEATED_CYCLES,
+    fv,
+    make_e5,
+    make_sym4,
+    random_rational_iet,
+)
 
 
 class TestGeometry:
@@ -327,6 +334,10 @@ class TestConstruction:
         for perm in BAD_PERMUTATIONS:
             with pytest.raises(DomainError, match="cannot read permutation from"):
                 iet_from_json(dict(good, permutation=perm))
+        abc = {"alphabet": "abc", "lengths": {"a": "1/3", "b": "1/3", "c": "1/3"}}
+        for perm in REPEATED_CYCLES:
+            with pytest.raises(DomainError, match="appears twice"):
+                iet_from_json(dict(abc, permutation=perm))
 
     def test_json_permutation_forms(self):
         good = {"alphabet": "ab", "lengths": {"a": "1/3", "b": "2/3"}, "permutation": "ba"}
@@ -334,6 +345,24 @@ class TestConstruction:
         for perm in ({"one_line": "ba"}, {"one_line": ["b", "a"]}, {"cycles": [["a", "b"]]},
                      {"cycles": ["ab"]}):
             assert iet_from_json(dict(good, permutation=perm)) == want, perm
+
+
+class TestAlphabet:
+    def test_an_alphabet_is_returned_unchanged(self):
+        a = Alphabet("abc")
+        assert Alphabet(a) is a
+        assert Alphabet(list("abc")) == a and Alphabet(list("abc")) is not a
+
+    def test_outside_input_is_checked(self):
+        for letters, message in (
+            ("", "must be non-empty"),
+            ([], "must be non-empty"),
+            ("aba", "duplicate letters"),
+            (["a", "bc"], "single characters"),
+            (["a", 1], "single characters"),
+        ):
+            with pytest.raises(DomainError, match=message):
+                Alphabet(letters)
 
 
 class TestDiet:
