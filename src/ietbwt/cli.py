@@ -254,9 +254,8 @@ def cmd_ebwt(args):
 
 
 def cmd_cluster(args):
-    order = tuple(args.order) if args.order else None
-    if args.perm:
-        base = tuple(args.order) if args.order else tuple(sorted(set(args.word)))
+    if args.perm is not None:
+        base = tuple(sorted(set(args.word))) if args.order is None else args.order
         perm = Perm.from_one_line(base, args.perm)
         verdict = is_pi_clustering(args.word, perm)
         data = {
@@ -265,11 +264,11 @@ def cmd_cluster(args):
             "clustering": verdict,
         }
         return data, ["clustering" if verdict else "not clustering"]
-    res = bwt(args.word, order)
-    perm = infer_clustering_permutation(args.word, order)
+    res = bwt(args.word, args.order)
+    perm = infer_clustering_permutation(args.word, args.order)
     completions = ()
     if args.all and perm is not None:
-        completions = infer_clustering_permutation(args.word, order, all_completions=True)
+        completions = infer_clustering_permutation(args.word, args.order, all_completions=True)
     data = {
         "word": args.word,
         "output": res.output,

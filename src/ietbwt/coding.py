@@ -113,6 +113,11 @@ def cylinder(t: Iet, word: str) -> Interval:
 
 @dataclass(frozen=True)
 class LanguageSample:
+    """Every factor of a language up to the bound.  The samples built here
+    (language, language_of_periodic, diet_language) are factor-closed, and
+    each word shorter than the bound is a prefix of a word of the bound's
+    length, so the longest words alone show every way a word continues."""
+
     alphabet: tuple[str, ...]
     bound: int
     words: frozenset
@@ -162,25 +167,14 @@ def diet_language(spec: DietSpec, bound: int) -> LanguageSample:
     return LanguageSample(spec.letters, bound, frozenset(words), "diet")
 
 
-def occurrences(text: str, pattern: str) -> tuple[int, ...]:
-    """Starting indices of all, possibly overlapping, occurrences."""
-    if not pattern:
-        raise DomainError("empty pattern")
-    out = []
-    i = text.find(pattern)
-    while i != -1:
-        out.append(i)
-        i = text.find(pattern, i + 1)
-    return tuple(out)
-
-
 def left_return_words(
     lang: LanguageSample, word: str, max_len: int
 ) -> tuple[frozenset, bool]:
     """Words u with uw in the language and w occurring in uw only as its
-    prefix and suffix.  The flag reports completeness: every long-enough
-    word starting with w sees a second occurrence, so no return word longer
-    than max_len was missed."""
+    prefix and suffix.  One level is read, the words v of length
+    max_len + |w| that start with w: the second occurrence of w in v ends
+    the return word v[:i], and a v without one clears the completeness
+    flag, which says no return word longer than max_len was missed."""
     if max_len < 1:
         raise DomainError("max_len must be positive")
     if word == "":
@@ -191,16 +185,14 @@ def left_return_words(
         raise DomainError(
             "language bound %d too small, need %d" % (lang.bound, max_len + len(word))
         )
-    found = set()
-    for ell in range(1, max_len + 1):
-        for v in lang.words_of_length(ell + len(word)):
-            if occurrences(v, word) == (0, ell):
-                found.add(v[:ell])
-    complete = all(
-        len(occurrences(v, word)) >= 2
-        for v in lang.words_of_length(max_len + len(word))
-        if v.startswith(word)
-    )
+    found, complete = set(), True
+    for v in lang.words_of_length(max_len + len(word)):
+        if v.startswith(word):
+            i = v.find(word, 1)
+            if i == -1:
+                complete = False
+            else:
+                found.add(v[:i])
     return frozenset(found), complete
 
 

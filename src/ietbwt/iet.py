@@ -8,6 +8,7 @@ total on its domain: each point moves by the translation of its letter.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -165,10 +166,6 @@ class Iet:
                     out.append(base[i : j + 1])
         return tuple(out)
 
-    def is_invariant_block(self, block: Iterable[str]) -> bool:
-        want = tuple(self.alphabet.ordered(block))
-        return want in self.invariant_blocks()
-
     def block_interval(self, block: Iterable[str]) -> Interval:
         letters = self.alphabet.ordered(block)
         if not letters:
@@ -180,35 +177,28 @@ class Iet:
 
     # -- connections -----------------------------------------------------
 
-    def find_connections(self, max_steps: int) -> tuple[Connection, ...]:
-        """All (start, end, n) with start an inverse discontinuity whose
-        n-th image, n <= max_steps, is a forward discontinuity."""
+    def _connections(self, max_steps: int):
+        """Yield every (start, end, n) with start an inverse discontinuity
+        whose n-th image, n <= max_steps, is a forward discontinuity, in
+        (steps, start) order."""
         if max_steps < 0:
             raise DomainError("search depth must be non-negative, got %d" % max_steps)
         targets = self.discontinuities()
-        out = []
-        for start in self.discontinuities_inverse():
-            pt = start
-            for n in range(max_steps + 1):
-                if any(pt == t for t in targets):
-                    out.append(Connection(start, pt, n))
-                pt = self.apply(pt)
-        return tuple(out)
-
-    def keane_probe(self, max_steps: int) -> Optional[Connection]:
-        """First connection in (steps, start) scan order, or None if the
-        transformation looks regular to that depth."""
-        if max_steps < 0:
-            raise DomainError("search depth must be non-negative, got %d" % max_steps)
-        targets = self.discontinuities()
-        pts = list(self.discontinuities_inverse())
-        starts = list(pts)
+        starts = pts = self.discontinuities_inverse()
         for n in range(max_steps + 1):
             for start, pt in zip(starts, pts):
-                if any(pt == t for t in targets):
-                    return Connection(start, pt, n)
+                if pt in targets:
+                    yield Connection(start, pt, n)
             pts = [self.apply(pt) for pt in pts]
-        return None
+
+    def find_connections(self, max_steps: int) -> tuple[Connection, ...]:
+        """Every connection up to max_steps, in (steps, start) order."""
+        return tuple(self._connections(max_steps))
+
+    def keane_probe(self, max_steps: int) -> Optional[Connection]:
+        """First connection in (steps, start) order, or None if the
+        transformation looks regular to that depth."""
+        return next(self._connections(max_steps), None)
 
     # -- reshaping -------------------------------------------------------
 
@@ -280,6 +270,8 @@ class DietSpec:
         comp = tuple(int(c) for c in self.composition)
         if not comp or any(c <= 0 for c in comp):
             raise DomainError("composition must be positive integers")
+        if sum(comp) > sys.maxsize:
+            raise DomainError("discrete size %d exceeds %d" % (sum(comp), sys.maxsize))
         if self.perm.letters != Alphabet.first(len(comp)).letters:
             raise DomainError("permutation must cover the first %d letters" % len(comp))
         object.__setattr__(self, "composition", comp)

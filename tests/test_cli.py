@@ -665,6 +665,11 @@ def test_bad_inputs_exit_1(capsys, tmp_path):
         assert (code, out) == (1, "") and "word length must be at least 1" in err
     code, out, err = run(capsys, ["info", "--diet", ",".join("1" * 27) + "/" + "a" * 27])
     assert (code, out) == (1, "") and "need 1 <= k <= 26, got 27" in err
+    spec = ["--diet", "99999999999999999999/a"]
+    for argv in (["diet", spec[1]], ["language", *spec], ["extgraph", *spec, "--word", "a"],
+                 ["classify", *spec, "--left", "a", "--right", "a"]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "") and "discrete size 99999999999999999999" in err, argv
     code, out, err = run(capsys, ["cylinders"] + RAT2 + ["--depth", "-1"])
     assert (code, out) == (1, "") and "depth must be non-negative" in err
     abc = {"alphabet": "abc", "lengths": {"a": "1/3", "b": "1/3", "c": "1/3"}}
@@ -732,3 +737,6 @@ def test_empty_option_values_are_not_ignored(capsys):
     for cmd in (["language"], ["extgraph", "--word", "a"]):
         code, out, err = run(capsys, cmd + ["--periodic", ""])
         assert (code, out, err) == (1, "", "error: empty word\n")
+    for argv in (["cluster", "abc", "--order", ""], ["cluster", "abc", "--perm", ""]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "") and err.startswith("error: "), argv

@@ -20,15 +20,20 @@ from ietbwt.coding import (
     make_alpha_tilde,
     make_inclusion,
     make_rename,
-    occurrences,
     right_return_words,
     trajectory,
 )
 from ietbwt.errors import DomainError
 from ietbwt.exact import make_quadratic, make_rational
-from ietbwt.iet import Iet, diet_to_iet
+from ietbwt.iet import Iet, diet_spec, diet_to_iet
 
-from conftest import make_e5, make_golden, make_sym4, random_rational_iet
+from conftest import (
+    make_e5,
+    make_golden,
+    make_sym4,
+    random_quadratic_iet,
+    random_rational_iet,
+)
 
 
 def _random_field_iet(rng: random.Random, k: int, d: int, reducible: bool) -> Iet:
@@ -222,13 +227,42 @@ class TestLanguage:
                 ), (lang.source, n)
 
 
-class TestOccurrences:
-    def test_basic(self):
-        assert occurrences("aea", "a") == (0, 2)
-        assert occurrences("aaaa", "aa") == (0, 1, 2)
-        assert occurrences("abc", "d") == ()
-        with pytest.raises(DomainError):
-            occurrences("abc", "")
+def _return_words_oracle(lang, word: str, max_len: int) -> tuple[frozenset, bool]:
+    """Left return words by their definition: for every ell <= max_len, the
+    words v of length ell + |w| in which w occurs only at 0 and ell; the
+    sample is complete when every word of length max_len + |w| that starts
+    with w holds a second occurrence."""
+
+    def at(v):
+        return [i for i in range(len(v)) if v.startswith(word, i)]
+
+    found = frozenset(
+        v[:ell]
+        for ell in range(1, max_len + 1)
+        for v in lang.words_of_length(ell + len(word))
+        if at(v) == [0, ell]
+    )
+    longest = lang.words_of_length(max_len + len(word))
+    return found, all(len(at(v)) >= 2 for v in longest if v.startswith(word))
+
+
+def _return_word_samples() -> list:
+    """Seeded rational, quadratic, periodic and discrete language samples
+    to bound 10, long enough for factors of length 3 and max_len 7."""
+    rng = random.Random(1212)
+    out = [language(random_rational_iet(rng, rng.randint(2, 5)), 10) for _ in range(6)]
+    out += [language(random_quadratic_iet(rng, rng.randint(2, 4)), 10) for _ in range(4)]
+    out += [language(_random_field_iet(rng, 4, 2, reducible=True), 10) for _ in range(2)]
+    for _ in range(6):
+        word = "".join(rng.choice("abc") for _ in range(rng.randint(1, 9)))
+        out.append(language_of_periodic(word, 10))
+    for _ in range(6):
+        k = rng.randint(2, 4)
+        row = list("abcd"[:k])
+        rng.shuffle(row)
+        spec = diet_spec([rng.randint(1, 6) for _ in range(k)], "".join(row))
+        out.append(diet_language(spec, 10))
+    return out
 
 
 class TestReturnWords:
@@ -273,6 +307,17 @@ class TestReturnWords:
         found, complete = left_return_words(lang, "c", 2)
         assert found == frozenset({"cb"})
         assert not complete
+
+    def test_matches_definition(self):
+        flags = []
+        for lang in _return_word_samples():
+            for word in (w for n in (1, 2, 3) for w in lang.words_of_length(n)):
+                for max_len in range(1, 8):
+                    got = left_return_words(lang, word, max_len)
+                    assert got == _return_words_oracle(lang, word, max_len), (
+                        lang.source, word, max_len)
+                    flags.append(got[1])
+        assert len(flags) > 2000 and 0 < flags.count(False) < len(flags)
 
 
 class TestMorphisms:

@@ -139,11 +139,12 @@ class TestBlocks:
     def test_no_blocks_for_golden(self, golden):
         assert golden.invariant_blocks() == ()
 
-    def test_is_invariant_block(self, e5):
-        assert e5.is_invariant_block("bc")
-        assert e5.is_invariant_block("d")
-        assert not e5.is_invariant_block("ab")
-        assert not e5.is_invariant_block("b")
+    def test_invariant_block_membership(self, e5):
+        blocks = e5.invariant_blocks()
+        assert ("b", "c") in blocks
+        assert ("d",) in blocks
+        assert ("a", "b") not in blocks
+        assert ("b",) not in blocks
 
 
 def _scan_oracle(t: Iet):
@@ -266,6 +267,13 @@ class TestConnections:
         starts = {c.start for c in found}
         assert starts == set(e5.zero_connections())
         assert all(c.steps == 0 and c.start == c.end for c in found)
+
+    def test_probe_is_the_first_connection(self, e5, rational2, sym4):
+        for t in (e5, rational2, sym4):
+            found = t.find_connections(10)
+            assert len(found) > 1
+            assert list(found) == sorted(found, key=lambda c: (c.steps, c.start))
+            assert t.keane_probe(10) == found[0]
 
     def test_negative_search_depth_rejected(self, e5):
         for search in (e5.keane_probe, e5.find_connections):
@@ -400,6 +408,8 @@ class TestDiet:
             diet_spec((0, 2), "ab")
         with pytest.raises(DomainError):
             diet_spec((1, 2), "ac")
+        with pytest.raises(DomainError, match="discrete size 99999999999999999999 exceeds"):
+            diet_spec((99999999999999999999,), "a")
 
     def test_random_rational_generator(self):
         rng = random.Random(5)
