@@ -144,6 +144,9 @@ def classify_language(
     """Check every factor up to the length bound.  Graphs of factors that
     are not bispecial are forests and compatible with any orders, so only
     bispecial factors can break those two properties."""
+    for side, order in (("left", left_order), ("right", right_order)):
+        if len(set(order)) != len(order):
+            raise DomainError("%s order %r repeats a letter" % (side, "".join(order)))
     if max_word_len is None:
         max_word_len = lang.bound - 2
     if max_word_len < 0 or lang.bound < max_word_len + 2:

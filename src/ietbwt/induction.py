@@ -2,30 +2,22 @@
 length comparisons, splitting along invariant blocks, admissibility
 windows, and the driver that induces onto a cylinder.
 
-Every right step is built geometrically as a first-return map of a
-declared partition of the sub-domain; the classical row and substitution
-formulas are checked against the geometric result rather than trusted, in
-every build.  A left step is a right step of the mirrored map (x -> -x
-reverses the alphabet and the row), mirrored back, so one construction
-builds and checks all six step kinds.
+Every step is built geometrically as a first-return map of a declared
+partition of the sub-domain; the classical row and substitution formulas
+are checked against the geometric result rather than trusted, in every
+build.  A left step reads the alphabet and the row as reversed tuples,
+the combinatorics of the mirrored map x -> -x, and lays its pieces out in
+the map's own coordinates, so one construction builds and checks all six
+step kinds without building a mirrored map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Optional
 
 from .alphabet import Perm
-from .coding import (
-    LetterMorphism,
-    compose,
-    cylinder,
-    identity_morphism,
-    make_alpha,
-    make_alpha_tilde,
-    make_inclusion,
-)
+from .coding import LetterMorphism, cylinder, identity_morphism, make_inclusion
 from .errors import CapExceeded, DomainError, check
 from .exact import FieldValue, ZERO, compare
 from .iet import Iet, Interval
@@ -85,114 +77,116 @@ def _induced_from_partition(t: Iet, lo, hi, pieces):
 
     pieces: (letter, left, width) triples tiling [lo, hi).  Each piece must
     move rigidly (stay inside a single letter interval) at every iterate
-    until it lands back; the landings must tile [lo, hi) again."""
+    until it lands back; the landings must tile [lo, hi) again.  Both ends
+    of a piece are carried along its walk."""
     pieces = sorted(pieces, key=lambda p: p[1])
+    ends = []
     acc = lo
     for _, plo, width in pieces:
         check(plo == acc, "pieces do not tile the sub-domain")
         acc = plo + width
+        ends.append(acc)
     check(acc == hi, "pieces do not tile the sub-domain")
     landings = []
     itineraries = {}
-    lengths = {}
-    for letter, plo, width in pieces:
-        cur = plo
+    for (letter, cur, _), end in zip(pieces, ends):
         word = []
         for _ in range(_WALK_CAP):
             a = t.letter_at(cur)
-            check(cur + width <= t.interval(a)[1], "piece does not move rigidly")
+            check(end <= t.interval(a)[1], "piece does not move rigidly")
             word.append(a)
-            cur = cur + t.translation(a)
-            if lo <= cur and cur + width <= hi:
+            tau = t.translation(a)
+            cur, end = cur + tau, end + tau
+            if lo <= cur and end <= hi:
                 break
         else:
             raise CapExceeded("first-return walk exceeded %d steps" % _WALK_CAP, _WALK_CAP)
-        landings.append((cur, letter))
+        landings.append((cur, end, letter))
         itineraries[letter] = "".join(word)
-        lengths[letter] = width
     landings.sort(key=lambda p: p[0])
     acc = lo
-    for pos, letter in landings:
+    for pos, end, _ in landings:
         check(pos == acc, "landings do not tile the sub-domain")
-        acc = pos + lengths[letter]
+        acc = end
     check(acc == hi, "landings do not tile the sub-domain")
     letters = tuple(p[0] for p in pieces)
-    row = tuple(letter for _, letter in landings)
+    row = tuple(p[2] for p in landings)
+    lengths = {p[0]: p[2] for p in pieces}
     t2 = Iet(letters, lengths, Perm(letters, row), origin=lo)
     return t2, itineraries
+
+
+def _step(t: Iet, side: str) -> StepRecord:
+    """One Rauzy step cut at the given end of the domain.  A left step reads
+    the alphabet and the row reversed, the combinatorics of the mirrored
+    map x -> -x, so the kind, the new order, the Rauzy row and the
+    substitution come from the same code on both sides; mirroring keeps
+    time direction, so codings carry over.  The pieces are laid out in t's
+    own coordinates and walked on t, and the induced map is checked
+    against the order, row and substitution read back in t's orientation."""
+    right = side == "right"
+    letters, row = t.alphabet.letters, t.perm.images
+    if len(letters) < 2:
+        raise DomainError("need at least two letters to step")
+    if not right:
+        letters, row = letters[::-1], row[::-1]
+    last, pk = letters[-1], row[-1]
+    if pk == last:
+        raise DomainError(
+            "%s step blocked: %s slot holds its own letter" % (side, "last" if right else "first")
+        )
+    lo, hi = t.domain()
+    lk, lb = t.lengths[last], t.lengths[pk]
+    c = compare(lk, lb)
+    if c > 0:
+        kind, cut = "top", lb
+        new_order = letters
+        i = row.index(last) + 1
+        expected_row = row[:i] + (pk,) + row[i:-1]
+        a = t.left(last)
+        moved = {last: (a if right else a + lb, lk - lb)}
+    elif c < 0:
+        kind, cut = "bottom", lk
+        i = letters.index(pk) + 1
+        new_order = letters[:i] + (last,) + letters[i:-1]
+        expected_row = row
+        a = t.left(pk)
+        if right:
+            moved = {pk: (a, lb - lk), last: (a + (lb - lk), lk)}
+        else:
+            moved = {last: (a, lk), pk: (a + lk, lb - lk)}
+    else:
+        kind, cut = "merge", lk
+        new_order = letters[:-1]
+        expected_row = tuple(pk if y == last else y for y in row[:-1])
+        moved = {}
+    rules = {x: x for x in new_order}  # top, merge: pk -> pk last; bottom: last -> pk last
+    rules[last if c < 0 else pk] = pk + last
+    if right:
+        window, name, expected = (lo, hi - cut), "z_interval", z_interval(t)
+    else:
+        window, name, expected = (lo + cut, hi), "y_interval", y_interval(t)
+        new_order, expected_row = new_order[::-1], expected_row[::-1]
+    check(window == expected, "step window differs from " + name)
+    pieces = [(x, *moved.get(x, (t.left(x), t.lengths[x]))) for x in new_order]
+    t2, itineraries = _induced_from_partition(t, *window, pieces)
+    check(t2.alphabet.letters == new_order, "induced alphabet order differs")
+    check(t2.perm.images == expected_row, "induced row differs from the Rauzy row")
+    morphism = LetterMorphism(t2.alphabet, t.alphabet, itineraries)
+    check(morphism.rules == rules, "itineraries differ from the substitution")
+    return StepRecord(side + "_" + kind, t, t2, morphism)
 
 
 def right_step(t: Iet) -> StepRecord:
     """Induce on the domain cut at the rightmost discontinuity.  The step
     kind depends on how the last interval compares with the last slot."""
-    letters = t.alphabet.letters
-    if len(letters) < 2:
-        raise DomainError("need at least two letters to step")
-    last = letters[-1]
-    pk = t.perm.images[-1]
-    if pk == last:
-        raise DomainError("right step blocked: last slot holds its own letter")
-    lo, r = t.domain()
-    lk, lb = t.lengths[last], t.lengths[pk]
-    c = compare(lk, lb)
-    if c > 0:
-        kind = "right_top"
-        new_hi = r - lb
-        new_order = letters
-        pieces = [(x, t.left(x), t.lengths[x]) for x in letters[:-1]]
-        pieces.append((last, t.left(last), new_hi - t.left(last)))
-        trimmed = list(t.perm.images[:-1])
-        i = trimmed.index(last)
-        expected_row = tuple(trimmed[: i + 1] + [pk] + trimmed[i + 1 :])
-        declared = make_alpha(new_order, pk, last, target=t.alphabet)
-    elif c < 0:
-        kind = "right_bottom"
-        new_hi = r - lk
-        i = t.alphabet.index(pk)
-        new_order = letters[: i + 1] + (last,) + letters[i + 1 : -1]
-        pieces = []
-        for x in letters[:-1]:
-            if x == pk:
-                pieces.append((pk, t.left(pk), lb - lk))
-                pieces.append((last, t.left(pk) + (lb - lk), lk))
-            else:
-                pieces.append((x, t.left(x), t.lengths[x]))
-        expected_row = t.perm.images
-        declared = make_alpha_tilde(new_order, last, pk, target=t.alphabet)
-    else:
-        kind = "right_merge"
-        new_hi = r - lk
-        new_order = letters[:-1]
-        pieces = [(x, t.left(x), t.lengths[x]) for x in new_order]
-        expected_row = tuple(pk if y == last else y for y in t.perm.images[:-1])
-        declared = make_alpha(new_order, pk, last, target=t.alphabet)
-    check((lo, new_hi) == z_interval(t), "step window differs from z_interval")
-    t2, itineraries = _induced_from_partition(t, lo, new_hi, pieces)
-    check(t2.alphabet.letters == tuple(new_order), "induced alphabet order differs")
-    check(t2.perm.images == expected_row, "induced row differs from the Rauzy row")
-    morphism = LetterMorphism(new_order, t.alphabet, itineraries)
-    check(morphism.rules == declared.rules, "itineraries differ from the substitution")
-    return StepRecord(kind, t, t2, morphism)
-
-
-def _reflect(t: Iet) -> Iet:
-    """The mirror image under x -> -x: alphabet and row reversed, domain
-    [-hi, -lo).  Reflection keeps time direction, so codings carry over."""
-    letters = t.alphabet.letters[::-1]
-    perm = Perm(letters, t.perm.images[::-1])
-    return Iet(letters, t.lengths, perm, origin=-t.domain()[1])
+    return _step(t, "right")
 
 
 def left_step(t: Iet) -> StepRecord:
-    """Mirror image of right_step: cut at the leftmost discontinuity, as the
-    right step of the reflected map, reflected back with the same rules."""
-    letters = t.alphabet.letters
-    if len(letters) > 1 and t.perm.images[0] == letters[0]:
-        raise DomainError("left step blocked: first slot holds its own letter")
-    rec = right_step(_reflect(t))
-    after = _reflect(rec.after)
-    morphism = LetterMorphism(after.alphabet, t.alphabet, rec.morphism.rules)
-    return StepRecord(rec.kind.replace("right_", "left_"), t, after, morphism)
+    """Induce on the domain cut at the leftmost discontinuity.  The step
+    kind depends on how the first interval compares with the first slot."""
+    return _step(t, "left")
 
 
 def split(t: Iet, block) -> tuple[tuple[Iet, StepRecord], tuple[Iet, StepRecord]]:
@@ -369,12 +363,10 @@ def induce_to_cylinder(t: Iet, word: str, max_steps: int = 200) -> InductionChai
             (cur, rec), _ = split(cur, exact)
             records.append(rec)
             continue
-        _, zhi = z_interval(cur)
-        ylo, _ = y_interval(cur)
-        if thi <= zhi:
+        if thi <= z_interval(cur)[1]:
             side, ext = "right", cur.alphabet.letters[-1]
         else:
-            check(tlo >= ylo, "cylinder escapes both induction windows")
+            check(tlo >= y_interval(cur)[0], "cylinder escapes both induction windows")
             side, ext = "left", cur.alphabet.letters[0]
         avoiding = [
             b for b in blocks if _disjoint(cur.block_interval(b), (tlo, thi))
@@ -393,7 +385,9 @@ def induce_to_cylinder(t: Iet, word: str, max_steps: int = 200) -> InductionChai
         records.append(rec)
         cur = rec.after
     final = cur.translate(back_shift)
-    morphism = reduce(
-        compose, (r.morphism for r in records), identity_morphism(t.alphabet)
-    )
+    # compose the records' rules once, outermost first, and check the result
+    rules = {x: x for x in t.alphabet}
+    for rec in records:
+        rules = {x: "".join(rules[c] for c in w) for x, w in rec.morphism.rules.items()}
+    morphism = LetterMorphism(final.alphabet, t.alphabet, rules)
     return InductionChain(t, word, target, tuple(records), final, morphism)

@@ -79,6 +79,8 @@ class VerifyReport:
 def _factor_runs(t: Iet, word_len: int, return_len: int):
     if word_len < 1:
         raise DomainError("word length must be at least 1, got %d" % word_len)
+    if return_len < 1:
+        raise DomainError("return length must be at least 1, got %d" % return_len)
     lang = language(t, return_len + word_len)
     for n in range(1, word_len + 1):
         for w in lang.words_of_length(n):

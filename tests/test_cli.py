@@ -663,6 +663,12 @@ def test_bad_inputs_exit_1(capsys, tmp_path):
     for word_len in ("0", "-1"):
         code, out, err = run(capsys, ["verify"] + RAT2 + ["--word-len", word_len])
         assert (code, out) == (1, "") and "word length must be at least 1" in err
+    for return_len in ("0", "-3"):
+        code, out, err = run(capsys, ["verify"] + RAT2 + ["--return-len", return_len])
+        assert (code, out) == (1, "") and "return length must be at least 1" in err
+    argv = ["classify"] + RAT2 + ["--left", "aba", "--right", "ab"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "") and "left order 'aba' repeats a letter" in err
     code, out, err = run(capsys, ["info", "--diet", ",".join("1" * 27) + "/" + "a" * 27])
     assert (code, out) == (1, "") and "need 1 <= k <= 26, got 27" in err
     spec = ["--diet", "99999999999999999999/a"]

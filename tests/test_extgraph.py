@@ -120,6 +120,14 @@ def test_classify_flags_incompatible_word():
     assert good.ordered_alsinic
 
 
+def test_classify_rejects_repeated_order_letter():
+    lang = language_of_periodic("aab", 5)
+    with pytest.raises(DomainError, match="left order 'aba' repeats a letter"):
+        classify_language(lang, ("a", "b", "a"), ("a", "b"))
+    with pytest.raises(DomainError, match="right order 'bb' repeats a letter"):
+        classify_language(lang, ("a", "b"), ("b", "b"))
+
+
 def test_periodic_report_matches_bwt_for_banana():
     letters = ("a", "b", "n")
     clustered = Perm(letters, ("n", "b", "a"))

@@ -1,21 +1,25 @@
 """Induction steps, splits, admissibility windows, and cylinder chains."""
 
 import os
+import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
 import ietbwt
+from ietbwt import induction
 from ietbwt.alphabet import Perm
-from ietbwt.coding import left_return_words, language
+from ietbwt.coding import LetterMorphism, left_return_words, language
 from ietbwt.errors import CapExceeded, DomainError
 from ietbwt.exact import make_rational
 from ietbwt.iet import Iet, diet_to_iet
 from ietbwt.induction import (
+    StepRecord,
     div_set,
     first_return_point,
     induce_to_cylinder,
@@ -190,6 +194,114 @@ def test_random_steps_are_sound():
     for t in family:
         _check_step(right_step(t), samples_per_letter=3)
         _check_step(left_step(t), samples_per_letter=3)
+
+
+def _mirror(t):
+    """The map under x -> -x: alphabet and row reversed, domain [-hi, -lo)."""
+    letters = t.alphabet.letters[::-1]
+    return Iet(letters, t.lengths, Perm(letters, t.perm.images[::-1]), origin=-t.domain()[1])
+
+
+def _mirrored_left_step(t):
+    """Oracle: a left step as the right step of the mirrored map, mirrored
+    back with the same substitution, after the left side's blocked check."""
+    letters = t.alphabet.letters
+    if len(letters) > 1 and t.perm.images[0] == letters[0]:
+        raise DomainError("left step blocked: first slot holds its own letter")
+    rec = right_step(_mirror(t))
+    after = _mirror(rec.after)
+    morphism = LetterMorphism(after.alphabet, t.alphabet, rec.morphism.rules)
+    return StepRecord(rec.kind.replace("right_", "left_"), t, after, morphism)
+
+
+def _outcome(step, t):
+    try:
+        rec = step(t)
+    except (DomainError, CapExceeded) as exc:
+        return type(exc).__name__, str(exc)
+    return rec.kind, rec.after.to_json(), rec.morphism.to_json()
+
+
+def _tied_map(rng):
+    """One to five letters whose lengths come from a pool of three values, so
+    that equal lengths (merges) are common; rational or Q(sqrt(5)) lengths,
+    a random origin and a random row, blocked on either side or not."""
+    k = rng.randint(1, 5)
+    letters = "abcde"[:k]
+    if rng.random() < 0.5:
+        pool = [fv(Fraction(rng.randint(1, 9), 7)) for _ in range(3)]
+        origin = fv(Fraction(rng.randint(-9, 9), 5))
+    else:
+        pool = [fv(Fraction(rng.randint(5, 9), 2), Fraction(rng.randint(-2, 2), 2), 5) for _ in range(3)]
+        origin = fv(Fraction(rng.randint(-9, 9), 4), Fraction(rng.randint(-3, 3), 3), 5)
+    row = list(letters)
+    rng.shuffle(row)
+    lengths = {x: rng.choice(pool) for x in letters}
+    return Iet(letters, lengths, "".join(row), origin=origin)
+
+
+def test_left_step_matches_mirrored_right_step():
+    rng = random.Random(1213)
+    family = [random_rational_iet(rng, rng.randint(2, 5)) for _ in range(150)]
+    family += [random_quadratic_iet(rng, rng.randint(2, 5)) for _ in range(150)]
+    family += [_tied_map(rng) for _ in range(400)]
+    seen = Counter()
+    for t in family:
+        got = _outcome(left_step, t)
+        assert got == _outcome(_mirrored_left_step, t), t
+        seen[got[0] if got[0].startswith("left_") else got[1].split(":")[0]] += 1
+    assert set(seen) == {
+        "left_top",
+        "left_bottom",
+        "left_merge",
+        "left step blocked",
+        "need at least two letters to step",
+    }, seen
+
+
+def test_one_map_and_one_morphism_per_step(e5, monkeypatch):
+    counts = Counter()
+    for cls in (Iet, LetterMorphism):
+
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            counts[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    rng = random.Random(13)
+    family = [random_quadratic_iet(rng, rng.randint(2, 5)) for _ in range(20)]
+    family += [random_rational_iet(rng, 3, steppable=True) for _ in range(20)]
+    family += [_tied_map(rng) for _ in range(40)]
+    kinds = set()
+    for t in family:
+        for step in (right_step, left_step):
+            counts.clear()
+            try:
+                kinds.add(step(t).kind)
+            except DomainError:
+                continue
+            assert counts == {"Iet": 1, "LetterMorphism": 1}, step.__name__
+    assert len(kinds) == 6
+
+    # the chain builds one morphism beyond its steps' own: the composed one
+    inside = Counter()
+
+    def outermost(fn):
+        def wrapped(*args):
+            before = counts.copy()
+            out = fn(*args)
+            inside.update(counts - before)
+            return out
+
+        return wrapped
+
+    for name in ("right_step", "left_step", "split"):
+        monkeypatch.setattr(induction, name, outermost(getattr(induction, name)))
+    counts.clear()
+    chain = induce_to_cylinder(e5, "c")
+    assert chain.kinds() == ("right_merge", "split", "split", "left_top", "left_bottom")
+    assert counts["LetterMorphism"] - inside["LetterMorphism"] == 1
+    assert inside == {"Iet": 7, "LetterMorphism": 7}
 
 
 def test_soundness_checks_survive_optimize():

@@ -113,6 +113,17 @@ def test_word_length_below_one_rejected(golden):
                 check(golden, word_len, 4)
 
 
+def test_return_length_below_one_rejected(golden):
+    for check in (
+        verify_return_clustering,
+        verify_perfect_clustering_symmetric,
+        verify_induction_consistency,
+    ):
+        for return_len in (0, -3):
+            with pytest.raises(DomainError, match="return length must be at least 1"):
+                check(golden, 2, return_len)
+
+
 def test_report_failure_paths():
     bad = WordCheck("w", ("ba", "aba"), True, ("aba",))
     good = WordCheck("v", ("ab",), True, ())
