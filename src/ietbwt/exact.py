@@ -5,12 +5,16 @@ lowest terms and d a square-free non-negative integer; rational values
 carry b = d = 0.  The rational parts p = a/n and q = b/n are read back as
 Fractions.  No floating point is used anywhere: coefficients must be int or
 Fraction, and comparisons are decided by one exact integer sign test.
+
+``FieldValue`` is immutable and slotted.  Only its public constructor
+validates; arithmetic results skip that, and every value goes once through
+the one normaliser ``__post_init__``.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
@@ -71,19 +75,14 @@ def _integers(a, b, n) -> tuple[int, int, int]:
     return p.numerator * q.denominator, q.numerator * p.denominator, m
 
 
-@dataclass(frozen=True)
 class FieldValue:
     """(a + b*sqrt(d))/n in lowest terms: n > 0, gcd(a, b, n) == 1, d
     square-free, and b == 0 exactly when d == 0.  The coefficients may be
     given as int or Fraction; they are stored as integers."""
 
-    a: Rationalish
-    b: Rationalish = 0
-    d: int = 0
-    n: Rationalish = 1
+    __slots__ = ("a", "b", "d", "n")
 
-    def __post_init__(self):
-        a, b, d, n = self.a, self.b, self.d, self.n
+    def __init__(self, a: Rationalish, b: Rationalish = 0, d: int = 0, n: Rationalish = 1):
         if not n:
             raise DomainError("zero denominator")
         if type(a) is not int or type(b) is not int or type(n) is not int:
@@ -98,19 +97,32 @@ class FieldValue:
                 a, b, d = a + b * s, 0, 0
             elif s != 1:
                 b, d = b * s, f
+        _make(a, b, d, n, self)
+
+    def __post_init__(self):
+        """The one normaliser, run once on every value: n > 0, no common
+        factor, and d == 0 when b == 0."""
+        a, b, n = self.a, self.b, self.n
         if n < 0:
             a, b, n = -a, -b, -n
         g = gcd(a, b, n)
         if g != 1:
             a, b, n = a // g, b // g, n // g
-        if a is not self.a:
-            object.__setattr__(self, "a", a)
-        if b is not self.b:
-            object.__setattr__(self, "b", b)
-        if d is not self.d:
-            object.__setattr__(self, "d", d)
-        if n is not self.n:
-            object.__setattr__(self, "n", n)
+        if n is not self.n:  # n changes whenever a or b does
+            _set_a(self, a)
+            _set_b(self, b)
+            _set_n(self, n)
+        if not b and self.d:
+            _set_d(self, 0)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError("cannot delete field %r" % (name,))
+
+    def __reduce__(self):
+        return FieldValue, (self.a, self.b, self.d, self.n)
 
     @property
     def p(self) -> Fraction:
@@ -153,25 +165,27 @@ class FieldValue:
         return self.d or other.d
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        d = self._join_radicand(other)
+        if type(other) is not FieldValue:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d = self.d if self.d == other.d else self._join_radicand(other)
         n, m = self.n, other.n
-        return FieldValue(self.a * m + other.a * n, self.b * m + other.b * n, d, n * m)
+        return _make(self.a * m + other.a * n, self.b * m + other.b * n, d, n * m)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldValue(-self.a, -self.b, self.d, self.n)
+        return _make(-self.a, -self.b, self.d, self.n)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        d = self._join_radicand(other)
+        if type(other) is not FieldValue:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d = self.d if self.d == other.d else self._join_radicand(other)
         n, m = self.n, other.n
-        return FieldValue(self.a * m - other.a * n, self.b * m - other.b * n, d, n * m)
+        return _make(self.a * m - other.a * n, self.b * m - other.b * n, d, n * m)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -185,7 +199,7 @@ class FieldValue:
             return NotImplemented
         d = self._join_radicand(other)
         a, b, c, e = self.a, self.b, other.a, other.b
-        return FieldValue(a * c + b * e * d, a * e + b * c, d, self.n * other.n)
+        return _make(a * c + b * e * d, a * e + b * c, d, self.n * other.n)
 
     __rmul__ = __mul__
 
@@ -198,7 +212,7 @@ class FieldValue:
         d = self._join_radicand(other)
         # x/y = x * conj(y) * m / (n * (c*c - e*e*d)) for y = (c + e*sqrt(d))/m
         a, b, c, e, m = self.a, self.b, other.a, other.b, other.n
-        return FieldValue(
+        return _make(
             (a * c - b * e * d) * m, (b * c - a * e) * m, d, self.n * (c * c - e * e * d)
         )
 
@@ -227,8 +241,10 @@ class FieldValue:
     def _compare(self, other):
         """Sign of self - other, or None for an operand of another type."""
         if isinstance(other, FieldValue):
-            d = self._join_radicand(other)
+            d = self.d if self.d == other.d else self._join_radicand(other)
             n, m = self.n, other.n
+            if n == m:
+                return _sign(self.a - other.a, self.b - other.b, d)
             return _sign(self.a * m - other.a * n, self.b * m - other.b * n, d)
         if isinstance(other, (int, Fraction)):
             m = other.denominator
@@ -254,14 +270,13 @@ class FieldValue:
     # -- rendering -------------------------------------------------------
 
     def __str__(self):
-        p, q = self.p, self.q
-        if q == 0:
-            return str(p)
-        root = "%s*sqrt(%d)" % (abs(q), self.d)
-        if p == 0:
-            return root if q > 0 else "-" + root
-        op = "+" if q > 0 else "-"
-        return "%s %s %s" % (p, op, root)
+        a, b, n = self.a, self.b, self.n
+        if not b:
+            return _ratio(a, n)
+        root = "%s*sqrt(%d)" % (_ratio(abs(b), n), self.d)
+        if not a:
+            return root if b > 0 else "-" + root
+        return "%s %s %s" % (_ratio(a, n), "+" if b > 0 else "-", root)
 
     def __repr__(self):
         return "FieldValue(%r)" % str(self)
@@ -277,6 +292,29 @@ class FieldValue:
         whole, frac = divmod(n, scale)
         out = "%d.%0*d" % (whole, digits, frac)
         return "-" + out if neg else out
+
+
+_set_a, _set_b, _set_d, _set_n = (vars(FieldValue)[f].__set__ for f in FieldValue.__slots__)
+
+
+def _make(a: int, b: int, d: int, n: int, v=None) -> FieldValue:
+    """Store integers into v, by default a new value, and normalise them:
+    arithmetic results, whose operands are already normal, come here
+    without the constructor's checks."""
+    v = object.__new__(FieldValue) if v is None else v
+    _set_a(v, a)
+    _set_b(v, b)
+    _set_d(v, d)
+    _set_n(v, n)
+    v.__post_init__()
+    return v
+
+
+def _ratio(x: int, n: int) -> str:
+    """x/n in lowest terms, rendered as Fraction renders it."""
+    g = gcd(x, n)
+    x, n = x // g, n // g
+    return str(x) if n == 1 else "%d/%d" % (x, n)
 
 
 def _floor_scaled(v: FieldValue, scale: int) -> int:

@@ -89,11 +89,19 @@ def extension_graph(lang: LanguageSample, word: str) -> ExtensionGraph:
     return ExtensionGraph(word, left, right, edges)
 
 
+def _order_index(side: str, order) -> dict:
+    """Each letter's position in an order that must not repeat a letter."""
+    index = {x: i for i, x in enumerate(order)}
+    if len(index) != len(order):
+        raise DomainError("%s order %r repeats a letter" % (side, "".join(order)))
+    return index
+
+
 def compatible(graph: ExtensionGraph, left_order, right_order) -> bool:
     """Whether the edge relation is monotone: strictly increasing left
     vertices never see decreasing right vertices."""
-    li = {a: i for i, a in enumerate(left_order)}
-    ri = {b: i for i, b in enumerate(right_order)}
+    li = _order_index("left", left_order)
+    ri = _order_index("right", right_order)
     for a in graph.left:
         if a not in li:
             raise DomainError("left order misses vertex %r" % a)
@@ -144,9 +152,8 @@ def classify_language(
     """Check every factor up to the length bound.  Graphs of factors that
     are not bispecial are forests and compatible with any orders, so only
     bispecial factors can break those two properties."""
-    for side, order in (("left", left_order), ("right", right_order)):
-        if len(set(order)) != len(order):
-            raise DomainError("%s order %r repeats a letter" % (side, "".join(order)))
+    _order_index("left", left_order)
+    _order_index("right", right_order)
     if max_word_len is None:
         max_word_len = lang.bound - 2
     if max_word_len < 0 or lang.bound < max_word_len + 2:

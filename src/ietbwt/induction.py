@@ -2,13 +2,13 @@
 length comparisons, splitting along invariant blocks, admissibility
 windows, and the driver that induces onto a cylinder.
 
-Every step is built geometrically as a first-return map of a declared
-partition of the sub-domain; the classical row and substitution formulas
-are checked against the geometric result rather than trusted, in every
-build.  A left step reads the alphabet and the row as reversed tuples,
-the combinatorics of the mirrored map x -> -x, and lays its pieces out in
-the map's own coordinates, so one construction builds and checks all six
-step kinds without building a mirrored map.
+Every step builds its map from the classical order and Rauzy row, then
+checks it, in every build, against the first returns of a declared
+partition of the sub-domain, and the substitution against their
+itineraries.  A left step reads the alphabet and the row as reversed
+tuples, the combinatorics of the mirrored map x -> -x, and lays its
+pieces out in the map's own coordinates, so one construction builds and
+checks all six step kinds without building a mirrored map.
 """
 
 from __future__ import annotations
@@ -26,21 +26,23 @@ _WALK_CAP = 16  # iterates a step's declared piece may take to land back
 _ORBIT_CAP = 10 ** 6  # iterates of a brute-force orbit walk
 
 
+def _window_cuts(t: Iet, i: int) -> tuple[FieldValue, FieldValue]:
+    """Discontinuity i of each kind; both lists ascend."""
+    pts, inverse = t.discontinuities(), t.discontinuities_inverse()
+    if not pts:
+        raise DomainError("a one-letter map has no induction window")
+    return pts[i], inverse[i]
+
+
 def z_interval(t: Iet) -> Interval:
     """Domain truncated at the rightmost discontinuity of either kind; the
     sub-domain reached by one right step."""
-    pts = t.discontinuities() + t.discontinuities_inverse()
-    if not pts:
-        raise DomainError("a one-letter map has no induction window")
-    return (t.domain()[0], max(pts))
+    return (t.domain()[0], max(_window_cuts(t, -1)))
 
 
 def y_interval(t: Iet) -> Interval:
     """Domain truncated at the leftmost discontinuity of either kind."""
-    pts = t.discontinuities() + t.discontinuities_inverse()
-    if not pts:
-        raise DomainError("a one-letter map has no induction window")
-    return (min(pts), t.domain()[1])
+    return (min(_window_cuts(t, 0)), t.domain()[1])
 
 
 @dataclass
@@ -72,24 +74,18 @@ class StepRecord:
         return out
 
 
-def _induced_from_partition(t: Iet, lo, hi, pieces):
-    """First-return map of t on [lo, hi) for a declared partition.
-
-    pieces: (letter, left, width) triples tiling [lo, hi).  Each piece must
-    move rigidly (stay inside a single letter interval) at every iterate
-    until it lands back; the landings must tile [lo, hi) again.  Both ends
-    of a piece are carried along its walk."""
-    pieces = sorted(pieces, key=lambda p: p[1])
-    ends = []
-    acc = lo
-    for _, plo, width in pieces:
-        check(plo == acc, "pieces do not tile the sub-domain")
-        acc = plo + width
-        ends.append(acc)
-    check(acc == hi, "pieces do not tile the sub-domain")
-    landings = []
+def _induced_from_partition(t: Iet, lo, hi, order, row, pieces):
+    """First-return map of t on [lo, hi), built from the declared order and
+    Rauzy row and one (letter, left, width) piece per letter, then checked:
+    it ends at hi, each piece starts at its letter's left end, moves
+    rigidly (inside one letter interval of t) at every iterate of its walk,
+    and lands exactly on its letter's image slot."""
+    t2 = Iet(order, {x: width for x, _, width in pieces}, Perm(order, row), origin=lo)
+    check(t2.domain()[1] == hi, "pieces do not tile the sub-domain")
     itineraries = {}
-    for (letter, cur, _), end in zip(pieces, ends):
+    for letter, cur, _ in pieces:
+        check(cur == t2.left(letter), "pieces do not tile the sub-domain")
+        end = t2.interval(letter)[1]
         word = []
         for _ in range(_WALK_CAP):
             a = t.letter_at(cur)
@@ -101,18 +97,8 @@ def _induced_from_partition(t: Iet, lo, hi, pieces):
                 break
         else:
             raise CapExceeded("first-return walk exceeded %d steps" % _WALK_CAP, _WALK_CAP)
-        landings.append((cur, end, letter))
+        check((cur, end) == t2.image_interval(letter), "landings differ from the Rauzy row")
         itineraries[letter] = "".join(word)
-    landings.sort(key=lambda p: p[0])
-    acc = lo
-    for pos, end, _ in landings:
-        check(pos == acc, "landings do not tile the sub-domain")
-        acc = end
-    check(acc == hi, "landings do not tile the sub-domain")
-    letters = tuple(p[0] for p in pieces)
-    row = tuple(p[2] for p in landings)
-    lengths = {p[0]: p[2] for p in pieces}
-    t2 = Iet(letters, lengths, Perm(letters, row), origin=lo)
     return t2, itineraries
 
 
@@ -122,8 +108,9 @@ def _step(t: Iet, side: str) -> StepRecord:
     map x -> -x, so the kind, the new order, the Rauzy row and the
     substitution come from the same code on both sides; mirroring keeps
     time direction, so codings carry over.  The pieces are laid out in t's
-    own coordinates and walked on t, and the induced map is checked
-    against the order, row and substitution read back in t's orientation."""
+    own coordinates and walked on t; the induced map is built from the
+    order and row read back in t's orientation, and the walks check it
+    and the substitution."""
     right = side == "right"
     letters, row = t.alphabet.letters, t.perm.images
     if len(letters) < 2:
@@ -169,9 +156,7 @@ def _step(t: Iet, side: str) -> StepRecord:
         new_order, expected_row = new_order[::-1], expected_row[::-1]
     check(window == expected, "step window differs from " + name)
     pieces = [(x, *moved.get(x, (t.left(x), t.lengths[x]))) for x in new_order]
-    t2, itineraries = _induced_from_partition(t, *window, pieces)
-    check(t2.alphabet.letters == new_order, "induced alphabet order differs")
-    check(t2.perm.images == expected_row, "induced row differs from the Rauzy row")
+    t2, itineraries = _induced_from_partition(t, *window, new_order, expected_row, pieces)
     morphism = LetterMorphism(t2.alphabet, t.alphabet, itineraries)
     check(morphism.rules == rules, "itineraries differ from the substitution")
     return StepRecord(side + "_" + kind, t, t2, morphism)

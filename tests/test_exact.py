@@ -1,6 +1,9 @@
 """Exact arithmetic: canonicalization, ordering, parsing, rendering."""
 
+import copy
+import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -529,3 +532,75 @@ class TestRendering:
         assert str(SQRT5) == "1*sqrt(5)"
         assert str(-SQRT5) == "-1*sqrt(5)"
         assert str(make_rational(0)) == "0"
+
+
+def _fraction_str(v: FieldValue) -> str:
+    """The rendering read from the Fraction parts p and q: the oracle for
+    str(v), which renders from the integers."""
+    p, q = v.p, v.q
+    if q == 0:
+        return str(p)
+    root = "%s*sqrt(%d)" % (abs(q), v.d)
+    if p == 0:
+        return root if q > 0 else "-" + root
+    op = "+" if q > 0 else "-"
+    return "%s %s %s" % (p, op, root)
+
+
+CONTRACT_VALUES = (
+    make_rational(0),
+    make_rational(-7),
+    make_rational(-3, 4),
+    make_rational(10 ** 30 + 1, 3),
+    make_quadratic(Fraction(1, 2), -3, 5),
+    make_quadratic(0, Fraction(2, 7), 2),
+)
+
+
+class TestValueContract:
+    @pytest.mark.parametrize("field", ["a", "b", "d", "n"])
+    def test_fields_cannot_be_assigned_or_deleted(self, field):
+        v = make_quadratic(Fraction(1, 2), -3, 5)
+        with pytest.raises(AttributeError):
+            setattr(v, field, 1)
+        with pytest.raises(AttributeError):
+            delattr(v, field)
+        assert (v.a, v.b, v.d, v.n) == (1, -6, 5, 2)
+
+    @pytest.mark.parametrize("v", CONTRACT_VALUES, ids=str)
+    def test_copy_and_pickle_round_trip(self, v):
+        copies = [copy.copy(v), copy.deepcopy(v)]
+        copies += [pickle.loads(pickle.dumps(v, proto))
+                   for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for w in copies:
+            assert type(w) is FieldValue
+            assert (w.a, w.b, w.d, w.n) == (v.a, v.b, v.d, v.n)
+            assert w == v and hash(w) == hash(v)
+
+    def test_rational_hash_is_the_number_hash(self):
+        for q in (0, 1, -7, 10 ** 30, Fraction(3, 4), Fraction(-22, 7), Fraction(10 ** 20 + 1, 3)):
+            assert hash(FieldValue(q)) == hash(q)
+            assert hash(make_quadratic(q, 0, 5)) == hash(q)
+
+    def test_str_matches_fraction_rendering(self):
+        rng = random.Random(2718)
+        seen = Counter()
+
+        def part():
+            kind = rng.choice(("zero", "int", "ratio"))
+            seen[kind] += 1
+            if kind == "zero":
+                return 0
+            if kind == "int":
+                return rng.randint(-9, 9)
+            return Fraction(rng.randint(-99, 99), rng.randint(2, 40))
+
+        for d in (0, 2, 3, 5):
+            for _ in range(150):
+                x, y = FieldValue(part(), part(), d), FieldValue(part(), part(), d)
+                for v in (x, y, -x, x + y, x - y, x * y) + ((x / y,) if not y.is_zero() else ()):
+                    assert str(v) == _fraction_str(v), (v.a, v.b, v.d, v.n)
+                    seen["negative"] += v.a < 0 or v.b < 0
+                    seen["non-unit"] += v.n > 1 and abs(v.b) > 1
+                    seen["zero part"] += (v.a == 0) != (v.b == 0)
+        assert min(seen.values()) >= 100, seen

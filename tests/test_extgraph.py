@@ -67,6 +67,14 @@ def test_incompatible_pair_detected():
     assert compatible(g, ("b", "a"), ("a", "b"))
 
 
+def test_compatible_rejects_repeated_order_letter():
+    g = ExtensionGraph("x", ("a", "b"), ("a", "b"), (("a", "b"), ("b", "a")))
+    with pytest.raises(DomainError, match="left order 'aba' repeats a letter"):
+        compatible(g, ("a", "b", "a"), ("a", "b"))
+    with pytest.raises(DomainError, match="right order 'bab' repeats a letter"):
+        compatible(g, ("b", "a"), ("b", "a", "b"))
+
+
 def test_cycle_is_not_forest():
     g = ExtensionGraph(
         "x",

@@ -304,21 +304,7 @@ def test_one_map_and_one_morphism_per_step(e5, monkeypatch):
     assert inside == {"Iet": 7, "LetterMorphism": 7}
 
 
-def test_soundness_checks_survive_optimize():
-    """Under python -O bare asserts vanish; the step checks must not."""
-    code = "\n".join(
-        [
-            "from ietbwt.errors import InvariantError",
-            "from ietbwt.exact import make_rational as r",
-            "from ietbwt.iet import Iet",
-            "from ietbwt.induction import _induced_from_partition",
-            "t = Iet('ab', {'a': r(1, 2), 'b': r(1, 2)}, 'ba')",
-            "try:",
-            "    _induced_from_partition(t, r(0), r(1, 2), [('a', r(0), r(1, 4))])",
-            "except InvariantError as exc:",
-            "    print(__debug__, exc)",
-        ]
-    )
+def _run_optimized(code: str) -> str:
     src = os.path.dirname(os.path.dirname(ietbwt.__file__))
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, PYTHONPATH=path)
@@ -326,7 +312,40 @@ def test_soundness_checks_survive_optimize():
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False pieces do not tile the sub-domain"
+    return out.stdout.strip()
+
+
+_OPTIMIZED_STEP = [
+    "from ietbwt.errors import InvariantError",
+    "from ietbwt.exact import make_rational as r",
+    "from ietbwt.iet import Iet",
+    "from ietbwt.induction import _induced_from_partition",
+    "t = Iet('ab', {'a': r(1, 2), 'b': r(1, 2)}, 'ba')",
+    "try:",
+    "    _induced_from_partition(t, %s)",
+    "except InvariantError as exc:",
+    "    print(__debug__, exc)",
+]
+
+
+def test_soundness_checks_survive_optimize():
+    """Under python -O bare asserts vanish; the step checks must not."""
+    args = "r(0), r(1, 2), ('a',), ('a',), [('a', r(0), r(1, 4))]"
+    code = "\n".join(_OPTIMIZED_STEP) % args
+    assert _run_optimized(code) == "False pieces do not tile the sub-domain"
+
+
+def test_declared_row_is_checked_under_optimize():
+    """The walks land on the slots of the true row 'ba', so declaring the
+    identity row fails, also under python -O."""
+    args = "r(0), r(1), 'ab', 'ab', [('a', r(0), r(1, 2)), ('b', r(1, 2), r(1, 2))]"
+    code = "\n".join(_OPTIMIZED_STEP) % args
+    assert _run_optimized(code) == "False landings differ from the Rauzy row"
+    half = make_rational(1, 2)
+    t = Iet("ab", {"a": half, "b": half}, "ba")
+    pieces = [("a", fv(0), half), ("b", half, half)]
+    t2, words = induction._induced_from_partition(t, fv(0), fv(1), "ab", "ba", pieces)
+    assert t2.perm.images == ("b", "a") and words == {"a": "a", "b": "b"}
 
 
 # -- splits --------------------------------------------------------------
