@@ -8,11 +8,11 @@ questions are only meaningful up to that bound.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
-from typing import Optional
 
 from .alphabet import Alphabet, LettersLike
 from .errors import DomainError
@@ -147,7 +147,10 @@ def language_of_periodic(word: str, bound: int) -> LanguageSample:
         raise DomainError("empty word")
     if bound < 0:
         raise DomainError("depth must be non-negative")
-    reps = word * (bound // len(word) + 2)
+    size = len(word) * (bound // len(word) + 2)
+    if size > sys.maxsize:
+        raise DomainError("periodic text of %d letters exceeds %d" % (size, sys.maxsize))
+    reps = word * (size // len(word))
     words = {""}
     for n in range(1, bound + 1):
         for i in range(len(word)):
@@ -257,59 +260,3 @@ class LetterMorphism:
             "target": str(self.target),
             "rules": dict(self.rules),
         }
-
-
-def identity_morphism(letters: LettersLike) -> LetterMorphism:
-    base = Alphabet(letters)
-    return LetterMorphism(base, base, {x: x for x in base})
-
-
-def make_alpha(
-    source: LettersLike, a: str, b: str, target: Optional[LettersLike] = None
-) -> LetterMorphism:
-    """a maps to ab, everything else is fixed."""
-    src = Alphabet(source)
-    tgt = Alphabet(target) if target is not None else src
-    rules = {x: x for x in src}
-    rules[a] = a + b
-    return LetterMorphism(src, tgt, rules)
-
-
-def make_alpha_tilde(
-    source: LettersLike, a: str, b: str, target: Optional[LettersLike] = None
-) -> LetterMorphism:
-    """a maps to ba, everything else is fixed."""
-    src = Alphabet(source)
-    tgt = Alphabet(target) if target is not None else src
-    rules = {x: x for x in src}
-    rules[a] = b + a
-    return LetterMorphism(src, tgt, rules)
-
-
-def make_inclusion(source: LettersLike, target: LettersLike) -> LetterMorphism:
-    src = Alphabet(source)
-    return LetterMorphism(src, target, {x: x for x in src})
-
-
-def make_rename(
-    source: LettersLike, target: LettersLike, mapping: dict
-) -> LetterMorphism:
-    src = Alphabet(source)
-    for x, y in mapping.items():
-        if len(y) != 1:
-            raise DomainError("rename image %r is not a letter" % y)
-    if len(set(mapping.values())) != len(mapping):
-        raise DomainError("rename is not injective")
-    return LetterMorphism(src, target, dict(mapping))
-
-
-def compose(outer: LetterMorphism, inner: LetterMorphism) -> LetterMorphism:
-    """The morphism applying inner first, then outer."""
-    if not set(inner.target) <= set(outer.source):
-        raise DomainError(
-            "cannot compose: inner target %s exceeds outer source %s"
-            % (inner.target, outer.source)
-        )
-    return LetterMorphism(
-        inner.source, outer.target, {x: outer(inner.rules[x]) for x in inner.source}
-    )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .alphabet import Perm
-from .coding import LetterMorphism, cylinder, identity_morphism, make_inclusion
+from .coding import LetterMorphism, cylinder
 from .errors import CapExceeded, DomainError, check
 from .exact import FieldValue, ZERO, compare
 from .iet import Iet, Interval
@@ -174,42 +174,29 @@ def left_step(t: Iet) -> StepRecord:
     return _step(t, "left")
 
 
-def split(t: Iet, block) -> tuple[tuple[Iet, StepRecord], tuple[Iet, StepRecord]]:
-    """Split along an invariant block: the restriction to the block and the
-    complement with the block's span removed.  An interior block leaves a
-    glue record (cut, gap) describing the coordinate shift of the tail."""
+def split(t: Iet, block, branch: str) -> StepRecord:
+    """Split along an invariant block and keep one branch: "block", the
+    restriction to the block, or "complement", the map with the block's
+    span removed.  An interior block leaves the complement a glue record
+    (cut, gap) describing the coordinate shift of the tail."""
+    if branch not in ("block", "complement"):
+        raise DomainError("unknown split branch %r" % (branch,))
     letters = t.alphabet.ordered(block)
     if letters not in t.invariant_blocks():
         raise DomainError("%r is not an invariant block" % ("".join(letters),))
     blo, bhi = t.block_interval(letters)
     lo, hi = t.domain()
-    tb = Iet(
-        letters,
-        {x: t.lengths[x] for x in letters},
-        t.perm.restrict(letters),
-        origin=blo,
-    )
-    rec_b = StepRecord(
-        "split", t, tb, make_inclusion(letters, t.alphabet), block=letters, branch="block"
-    )
-    comp = tuple(x for x in t.alphabet if x not in set(letters))
-    if blo == lo:
-        origin_c, glue = bhi, None
-    elif bhi == hi:
-        origin_c, glue = lo, None
+    glue = None
+    if branch == "block":
+        kept, origin = letters, blo
     else:
-        origin_c, glue = lo, (blo, bhi - blo)
-    tc = Iet(comp, {x: t.lengths[x] for x in comp}, t.perm.restrict(comp), origin=origin_c)
-    rec_c = StepRecord(
-        "split",
-        t,
-        tc,
-        make_inclusion(comp, t.alphabet),
-        block=letters,
-        branch="complement",
-        glue=glue,
-    )
-    return (tb, rec_b), (tc, rec_c)
+        kept = tuple(x for x in t.alphabet if x not in set(letters))
+        origin = bhi if blo == lo else lo
+        if lo < blo and bhi < hi:
+            glue = (blo, bhi - blo)
+    t2 = Iet(kept, {x: t.lengths[x] for x in kept}, t.perm.restrict(kept), origin=origin)
+    inclusion = LetterMorphism(kept, t.alphabet, {x: x for x in kept})
+    return StepRecord("split", t, t2, inclusion, block=letters, branch=branch, glue=glue)
 
 
 # -- first returns and admissibility ------------------------------------
@@ -325,51 +312,37 @@ def induce_to_cylinder(t: Iet, word: str, max_steps: int = 200) -> InductionChai
         raise DomainError("step cap must be non-negative, got %d" % max_steps)
     for ch in word:
         t.alphabet.index(ch)
-    target = cylinder(t, word)
-    if word == "":
-        return InductionChain(t, word, target, (), t, identity_morphism(t.alphabet))
-    tlo, thi = target
-    cur = t
-    records = []
-    back_shift = ZERO
-    steps = 0
+    tlo, thi = target = cylinder(t, word)
+    cur, records, back_shift = t, [], ZERO
     while cur.domain() != (tlo, thi):
-        if steps >= max_steps:
+        if len(records) >= max_steps:
             raise CapExceeded(
                 "induction did not reach the cylinder within %d steps" % max_steps,
                 max_steps,
             )
-        steps += 1
-        blocks = cur.invariant_blocks()
-        exact = next(
-            (b for b in blocks if cur.block_interval(b) == (tlo, thi)), None
-        )
+        spans = {b: cur.block_interval(b) for b in cur.invariant_blocks()}
+        exact = next((b for b, span in spans.items() if span == (tlo, thi)), None)
         if exact is not None:
-            (cur, rec), _ = split(cur, exact)
-            records.append(rec)
-            continue
-        if thi <= z_interval(cur)[1]:
-            side, ext = "right", cur.alphabet.letters[-1]
+            rec = split(cur, exact, "block")
         else:
-            check(tlo >= y_interval(cur)[0], "cylinder escapes both induction windows")
-            side, ext = "left", cur.alphabet.letters[0]
-        avoiding = [
-            b for b in blocks if _disjoint(cur.block_interval(b), (tlo, thi))
-        ]
-        if any(ext in b for b in avoiding):
-            b = min(avoiding, key=lambda bb: (len(bb), cur.alphabet.index(bb[0])))
-            bhi = cur.block_interval(b)[1]
-            _, (cur, rec) = split(cur, b)
-            records.append(rec)
-            if rec.glue is not None and tlo >= bhi:
-                gap = rec.glue[1]
-                tlo, thi = tlo - gap, thi - gap
-                back_shift = back_shift + gap
-            continue
-        rec = right_step(cur) if side == "right" else left_step(cur)
+            if thi <= z_interval(cur)[1]:
+                side, ext = "right", cur.alphabet.letters[-1]
+            else:
+                check(tlo >= y_interval(cur)[0], "cylinder escapes both induction windows")
+                side, ext = "left", cur.alphabet.letters[0]
+            avoiding = [b for b, span in spans.items() if _disjoint(span, (tlo, thi))]
+            if any(ext in b for b in avoiding):
+                b = min(avoiding, key=lambda bb: (len(bb), cur.alphabet.index(bb[0])))
+                rec = split(cur, b, "complement")
+                if rec.glue is not None and tlo >= spans[b][1]:
+                    gap = rec.glue[1]
+                    tlo, thi = tlo - gap, thi - gap
+                    back_shift = back_shift + gap
+            else:
+                rec = right_step(cur) if side == "right" else left_step(cur)
         records.append(rec)
         cur = rec.after
-    final = cur.translate(back_shift)
+    final = cur if back_shift == ZERO else cur.translate(back_shift)
     # compose the records' rules once, outermost first, and check the result
     rules = {x: x for x in t.alphabet}
     for rec in records:

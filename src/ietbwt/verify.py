@@ -88,14 +88,18 @@ def _factor_runs(t: Iet, word_len: int, return_len: int):
             yield w, words, complete
 
 
+def _clustering_report(kind: str, t: Iet, word_len: int, return_len: int, clusters):
+    checks = []
+    for w, words, complete in _factor_runs(t, word_len, return_len):
+        fails = tuple(sorted(u for u in words if not clusters(u)))
+        checks.append(WordCheck(w, tuple(sorted(words)), complete, fails))
+    return VerifyReport(kind, tuple(checks))
+
+
 def verify_return_clustering(t: Iet, word_len: int, return_len: int) -> VerifyReport:
     """Every return word of every factor must have a clustered transform
     under the natural letter order."""
-    checks = []
-    for w, words, complete in _factor_runs(t, word_len, return_len):
-        fails = tuple(sorted(u for u in words if not is_clustering(u)))
-        checks.append(WordCheck(w, tuple(sorted(words)), complete, fails))
-    return VerifyReport("return_clustering", tuple(checks))
+    return _clustering_report("return_clustering", t, word_len, return_len, is_clustering)
 
 
 def verify_perfect_clustering_symmetric(
@@ -105,11 +109,9 @@ def verify_perfect_clustering_symmetric(
     reverse alphabet order, witnessed by the permutation itself."""
     if not t.perm.is_symmetric():
         raise DomainError("permutation %s is not symmetric" % t.perm.one_line())
-    checks = []
-    for w, words, complete in _factor_runs(t, word_len, return_len):
-        fails = tuple(sorted(u for u in words if not is_pi_clustering(u, t.perm)))
-        checks.append(WordCheck(w, tuple(sorted(words)), complete, fails))
-    return VerifyReport("perfect_clustering", tuple(checks))
+    return _clustering_report(
+        "perfect_clustering", t, word_len, return_len, lambda u: is_pi_clustering(u, t.perm)
+    )
 
 
 def verify_induction_consistency(

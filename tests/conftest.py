@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ietbwt.coding import LetterMorphism
 from ietbwt.exact import FieldValue, make_quadratic, make_rational
 from ietbwt.iet import Iet, diet_spec
 
@@ -27,6 +28,13 @@ REPEATED_CYCLES = (
 
 def fv(p, q=0, d=0) -> FieldValue:
     return make_quadratic(Fraction(p), Fraction(q), d)
+
+
+def substitution(source, target, images=()) -> LetterMorphism:
+    """The morphism fixing every source letter not given an image."""
+    rules = {x: x for x in source}
+    rules.update(images)
+    return LetterMorphism(source, target, rules)
 
 
 def make_e5() -> Iet:

@@ -15,6 +15,7 @@ from conftest import (
     make_sym3,
     make_sym4,
     random_rational_iet,
+    substitution,
 )
 from ietbwt.alphabet import Perm
 from ietbwt.errors import DomainError
@@ -26,13 +27,10 @@ from ietbwt.extgraph import (
 )
 from ietbwt.iet import Iet, diet_action, diet_lyndon_multiset, diet_spec, diet_to_iet
 from ietbwt.coding import (
+    LetterMorphism,
     cylinders,
     diet_language,
     language,
-    make_alpha,
-    make_alpha_tilde,
-    make_inclusion,
-    make_rename,
     trajectory,
 )
 from ietbwt.induction import (
@@ -208,10 +206,10 @@ def test_criterion_06_primitivity_preservation():
         else:
             target = present + [b]
         substitutions = (
-            ("rename", make_rename(present, present, dict(zip(present, shuffled)))),
-            ("alpha", make_alpha(present, a, b, target)),
-            ("alpha_tilde", make_alpha_tilde(present, a, b, target)),
-            ("inclusion", make_inclusion(present, present + ["z"])),
+            ("rename", LetterMorphism(present, present, dict(zip(present, shuffled)))),
+            ("alpha", substitution(present, target, {a: a + b})),
+            ("alpha_tilde", substitution(present, target, {a: b + a})),
+            ("inclusion", substitution(present, present + ["z"])),
         )
         for kind, phi in substitutions:
             assert is_primitive(phi(w)), "criterion 06: %s on %r" % (kind, w)
@@ -242,27 +240,31 @@ def _single_cycle_diet(rng: random.Random):
 
 def _transport_case(case: int, base, row, rng: random.Random):
     if case == 1:
-        return make_rename(base, base, dict(zip(base, rng.sample(base, len(base)))))
+        return LetterMorphism(base, base, dict(zip(base, rng.sample(base, len(base)))))
     if case == 2:
         i = row.index(base[0])
-        return make_alpha(base, row[i - 1], base[0]) if i > 0 else None
+        a = row[i - 1]
+        return substitution(base, base, {a: a + base[0]}) if i > 0 else None
     if case == 3:
         i = row.index(base[-1])
-        return make_alpha(base, row[i + 1], base[-1]) if i + 1 < len(row) else None
+        if i + 1 < len(row):
+            return substitution(base, base, {row[i + 1]: row[i + 1] + base[-1]})
+        return None
     if case == 4:
         i = base.index(row[0])
-        return make_alpha_tilde(base, base[i - 1], row[0]) if i > 0 else None
+        a = base[i - 1]
+        return substitution(base, base, {a: row[0] + a}) if i > 0 else None
     if case == 5:
         i = base.index(row[-1])
         if i + 1 < len(base):
-            return make_alpha_tilde(base, base[i + 1], row[-1])
+            return substitution(base, base, {base[i + 1]: row[-1] + base[i + 1]})
         return None
     if case == 6:
         a = rng.choice(base)
         if rng.choice(("front", "back")) == "front":
-            return make_alpha(base, a, "z", ("z",) + base)
-        return make_alpha(base, a, "z", base + ("z",))
-    return make_inclusion(base, base + ("z",))
+            return substitution(base, ("z",) + base, {a: a + "z"})
+        return substitution(base, base + ("z",), {a: a + "z"})
+    return substitution(base, base + ("z",))
 
 
 def test_criterion_07_clustering_transport():
@@ -422,7 +424,9 @@ def test_criterion_11_splitting_soundness():
     seen = 0
     for t in suite:
         for block in t.invariant_blocks():
-            (tb, rec_b), (tc, rec_c) = split(t, block)
+            tb = split(t, block, "block").after
+            rec_c = split(t, block, "complement")
+            tc = rec_c.after
             inside = set(block)
             assert tb.perm.images == tuple(y for y in t.perm.images if y in inside), (
                 "criterion 11: block permutation"

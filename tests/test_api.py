@@ -32,3 +32,20 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
         traced.uninstall()
     assert Iet.letter_at is letter_at
     assert ietbwt.coding.cylinders is cylinders
+
+
+def test_tracer_sees_every_induction_step(monkeypatch):
+    """`induction.step.incl_s` sums the spans of split, right_step and
+    left_step; the driver must call them through their module names."""
+    monkeypatch.syspath_prepend(BENCH)
+    import tracer
+
+    traced = tracer.Tracer()
+    try:
+        traced.install()
+        chain = ietbwt.induce_to_cylinder(make_e5(), "c")
+    finally:
+        traced.uninstall()
+    assert len(chain.records) == 5
+    assert traced.calls["induction.split"] == 2
+    assert traced.calls["induction.right_step"] + traced.calls["induction.left_step"] == 3

@@ -676,6 +676,13 @@ def test_bad_inputs_exit_1(capsys, tmp_path):
                  ["classify", *spec, "--left", "a", "--right", "a"]):
         code, out, err = run(capsys, argv)
         assert (code, out) == (1, "") and "discrete size 99999999999999999999" in err, argv
+    depth = ["--depth", "99999999999999999999"]
+    for argv in (["language", "--periodic", "ab", *depth],
+                 ["extgraph", "--periodic", "ab", *depth, "--word", "a"],
+                 ["classify", "--periodic", "ab", *depth, "--left", "ab", "--right", "ab"],
+                 ["language", "--diet", "2,1/ba", *depth]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "") and "periodic text of 1000000000000000000" in err, argv
     code, out, err = run(capsys, ["cylinders"] + RAT2 + ["--depth", "-1"])
     assert (code, out) == (1, "") and "depth must be non-negative" in err
     abc = {"alphabet": "abc", "lengths": {"a": "1/3", "b": "1/3", "c": "1/3"}}

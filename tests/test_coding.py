@@ -1,6 +1,7 @@
 """Trajectories, cylinders, language samples, return words, morphisms."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,18 +9,12 @@ import pytest
 from ietbwt.alphabet import Alphabet
 from ietbwt.coding import (
     LetterMorphism,
-    compose,
     cylinder,
     cylinders,
     diet_language,
-    identity_morphism,
     language,
     language_of_periodic,
     left_return_words,
-    make_alpha,
-    make_alpha_tilde,
-    make_inclusion,
-    make_rename,
     right_return_words,
     trajectory,
 )
@@ -33,6 +28,7 @@ from conftest import (
     make_sym4,
     random_quadratic_iet,
     random_rational_iet,
+    substitution,
 )
 
 
@@ -207,6 +203,12 @@ class TestLanguage:
         )
         assert lang.alphabet == ("a", "b")
 
+    def test_periodic_text_too_long(self):
+        # refused before any text is built
+        for bound in (sys.maxsize, 10 ** 20):
+            with pytest.raises(DomainError, match="periodic text of .* exceeds %d" % sys.maxsize):
+                language_of_periodic("ab", bound)
+
     def test_diet_language(self, diet421):
         lang = diet_language(diet421, 2)
         assert lang.words_of_length(1) == ("a", "b", "c")
@@ -322,34 +324,23 @@ class TestReturnWords:
 
 class TestMorphisms:
     def test_apply(self):
-        phi = make_alpha("abcd", "a", "e", target="abcde")
+        phi = substitution("abcd", "abcde", {"a": "ae"})
         assert phi("ad") == "aed"
         assert phi.rules["a"] == "ae"
         assert phi("") == ""
 
     def test_alpha_tilde(self):
-        phi = make_alpha_tilde("ab", "a", "b")
+        phi = substitution("ab", "ab", {"a": "ba"})
         assert phi("ab") == "bab"
 
     def test_identity(self):
-        ident = identity_morphism("abc")
+        ident = substitution("abc", "abc")
         assert ident("abc") == "abc"
         assert ident.is_identity()
-
-    def test_compose(self):
-        inner = make_alpha("ab", "a", "b")
-        outer = make_alpha_tilde("ab", "b", "a")
-        both = compose(outer, inner)
-        assert both("a") == outer(inner("a"))
-        assert both("ab") == "aabab"
-
-    def test_compose_with_inclusion(self):
-        inc = make_inclusion("bc", "abc")
-        phi = make_alpha("abc", "b", "c")
-        assert compose(phi, inc)("bc") == "bcc"
+        assert not substitution("bc", "abc").is_identity()
 
     def test_rename(self):
-        phi = make_rename("ab", "xy", {"a": "x", "b": "y"})
+        phi = LetterMorphism("ab", "xy", {"a": "x", "b": "y"})
         assert phi("abba") == "xyyx"
 
     def test_validation(self):
@@ -359,9 +350,3 @@ class TestMorphisms:
             LetterMorphism("ab", "ab", {"a": "", "b": "b"})
         with pytest.raises(DomainError):
             LetterMorphism("ab", "ab", {"a": "ax", "b": "b"})
-        with pytest.raises(DomainError):
-            make_rename("ab", "xy", {"a": "x", "b": "x"})
-        inner = make_alpha("ab", "a", "b")
-        outer = make_rename("xy", "pq", {"x": "p", "y": "q"})
-        with pytest.raises(DomainError):
-            compose(outer, inner)

@@ -283,7 +283,8 @@ def test_one_map_and_one_morphism_per_step(e5, monkeypatch):
             assert counts == {"Iet": 1, "LetterMorphism": 1}, step.__name__
     assert len(kinds) == 6
 
-    # the chain builds one morphism beyond its steps' own: the composed one
+    # a chain builds one map and one morphism per record inside its steps;
+    # outside them it builds no map and one morphism, the composed one
     inside = Counter()
 
     def outermost(fn):
@@ -297,11 +298,24 @@ def test_one_map_and_one_morphism_per_step(e5, monkeypatch):
 
     for name in ("right_step", "left_step", "split"):
         monkeypatch.setattr(induction, name, outermost(getattr(induction, name)))
+    for word in "abcde":
+        counts.clear()
+        inside.clear()
+        chain = induce_to_cylinder(e5, word)
+        n = len(chain.records)
+        assert inside == {"Iet": n, "LetterMorphism": n}, word
+        assert counts - inside == {"LetterMorphism": 1}, word
+        if word == "c":
+            kinds = ("right_merge", "split", "split", "left_top", "left_bottom")
+            assert chain.kinds() == kinds and inside == {"Iet": 5, "LetterMorphism": 5}
+
+    # a glue shift costs one map more outside the steps: the final translate
+    t = _glue_map()
     counts.clear()
-    chain = induce_to_cylinder(e5, "c")
-    assert chain.kinds() == ("right_merge", "split", "split", "left_top", "left_bottom")
-    assert counts["LetterMorphism"] - inside["LetterMorphism"] == 1
-    assert inside == {"Iet": 7, "LetterMorphism": 7}
+    inside.clear()
+    chain = induce_to_cylinder(t, "e")
+    assert chain.records[0].glue is not None
+    assert counts["Iet"] - inside["Iet"] == 1
 
 
 def _run_optimized(code: str) -> str:
@@ -352,7 +366,8 @@ def test_declared_row_is_checked_under_optimize():
 
 
 def test_split_block_branch_restricts_e5(e5):
-    (tb, rec_b), _ = split(e5, ("d",))
+    rec_b = split(e5, ("d",), "block")
+    tb = rec_b.after
     assert tb.alphabet.letters == ("d",)
     assert tb.domain() == (fv(Fraction(2, 3)), fv(Fraction(5, 6)))
     assert rec_b.branch == "block"
@@ -362,7 +377,9 @@ def test_split_block_branch_restricts_e5(e5):
 
 
 def test_split_interior_complement_glues(e5):
-    _, (tc, rec_c) = split(e5, ("d",))
+    rec_c = split(e5, ("d",), "complement")
+    tc = rec_c.after
+    assert rec_c.branch == "complement"
     assert tc.alphabet.letters == ("a", "b", "c", "e")
     assert tc.perm.one_line() == "ecba"
     assert rec_c.glue == (fv(Fraction(2, 3)), fv(Fraction(1, 6)))
@@ -384,7 +401,9 @@ def test_split_three_letter_interior():
         "cba",
     )
     assert t.invariant_blocks() == (("b",),)
-    (tb, _), (tc, rec_c) = split(t, ("b",))
+    tb = split(t, ("b",), "block").after
+    rec_c = split(t, ("b",), "complement")
+    tc = rec_c.after
     assert tb.domain() == (fv(1), fv(2))
     for x in _samples(*tb.domain()):
         assert tb.apply(x) == t.apply(x)
@@ -398,17 +417,26 @@ def test_split_three_letter_interior():
 def test_split_edge_blocks_have_no_glue(e5):
     rec = right_step(e5)
     merged = rec.after
-    (_, rec_b), (tc, rec_c) = split(merged, ("a",))
-    assert rec_c.glue is None
+    rec_b = split(merged, ("a",), "block")
+    rec_c = split(merged, ("a",), "complement")
+    tc = rec_c.after
+    assert rec_b.glue is None and rec_c.glue is None
     assert tc.domain() == (fv(Fraction(1, 6)), fv(Fraction(5, 6)))
     assert tc.perm.one_line() == "cbd"
 
 
 def test_split_rejects_non_block(e5):
-    with pytest.raises(DomainError):
-        split(e5, ("a", "b"))
-    with pytest.raises(DomainError, match="letter 'z' not in alphabet"):
-        split(e5, "z")
+    for branch in ("block", "complement"):
+        with pytest.raises(DomainError, match="'ab' is not an invariant block"):
+            split(e5, ("a", "b"), branch)
+        with pytest.raises(DomainError, match="letter 'z' not in alphabet"):
+            split(e5, "z", branch)
+
+
+def test_split_rejects_unknown_branch(e5):
+    for branch in ("both", "", None):
+        with pytest.raises(DomainError, match="unknown split branch %r" % (branch,)):
+            split(e5, ("d",), branch)
 
 
 # -- orbit windows and admissibility ------------------------------------
@@ -515,7 +543,8 @@ def test_induce_diet421_c(diet421):
     _check_chain(chain)
 
 
-def test_induce_with_interior_glue():
+def _glue_map() -> Iet:
+    """Row baedc: the interior block d splits off first and leaves a glue."""
     lengths = {
         "a": make_rational(1),
         "b": make_rational(2),
@@ -523,7 +552,11 @@ def test_induce_with_interior_glue():
         "d": make_rational(4),
         "e": make_rational(3),
     }
-    t = Iet(("a", "b", "c", "d", "e"), lengths, "baedc")
+    return Iet(("a", "b", "c", "d", "e"), lengths, "baedc")
+
+
+def test_induce_with_interior_glue():
+    t = _glue_map()
     assert set(t.invariant_blocks()) == {("a", "b"), ("c", "d", "e"), ("d",)}
     chain = induce_to_cylinder(t, "e")
     assert chain.kinds() == ("split", "split", "left_merge")

@@ -6,13 +6,7 @@ from functools import cmp_to_key
 import pytest
 
 from ietbwt.alphabet import Perm
-from ietbwt.coding import (
-    LetterMorphism,
-    make_alpha,
-    make_alpha_tilde,
-    make_inclusion,
-    make_rename,
-)
+from ietbwt.coding import LetterMorphism
 from ietbwt.errors import DomainError
 from ietbwt.iet import diet_lyndon_multiset, diet_spec
 from ietbwt.words import (
@@ -31,6 +25,8 @@ from ietbwt.words import (
     primitive_root,
     rotations,
 )
+
+from conftest import substitution
 
 
 class TestBwt:
@@ -285,7 +281,7 @@ class TestTransport:
         order = ("x", "y", "z")
         pi = Perm(order, ("y", "z", "x"))
         assert is_pi_clustering("xzy", pi)
-        phi = make_alpha(order, "z", "x")
+        phi = substitution(order, order, {"z": "zx"})
         order2, pi2 = clustering_transport(order, pi, phi)
         assert order2 == order and pi2.images == ("z", "y", "x")
         assert is_pi_clustering(phi("xzy"), pi2)
@@ -294,7 +290,7 @@ class TestTransport:
         order = ("x", "y", "z")
         pi = Perm(order, ("z", "y", "x"))
         assert is_pi_clustering("xyxz", pi)
-        phi = make_alpha(order, "y", "x")
+        phi = substitution(order, order, {"y": "yx"})
         order2, pi2 = clustering_transport(order, pi, phi)
         assert order2 == order and pi2.images == ("y", "z", "x")
         assert is_pi_clustering("xyxxz", pi2)
@@ -302,17 +298,17 @@ class TestTransport:
     def test_case_fresh_letter_both_places(self):
         order = ("x", "y")
         pi = Perm(order, ("y", "x"))
-        back = clustering_transport(order, pi, make_alpha(order, "x", "b", "xyb"))
+        back = clustering_transport(order, pi, substitution(order, "xyb", {"x": "xb"}))
         assert back == (("x", "y", "b"), Perm(("x", "y", "b"), ("y", "b", "x")))
         assert is_pi_clustering("xby", back[1])
-        front = clustering_transport(order, pi, make_alpha(order, "x", "b", "bxy"))
+        front = clustering_transport(order, pi, substitution(order, "bxy", {"x": "xb"}))
         assert front == (("b", "x", "y"), Perm(("b", "x", "y"), ("x", "y", "b")))
         assert is_pi_clustering("xby", front[1])
 
     def test_case_rename(self):
         order = ("x", "y")
         pi = Perm(order, ("y", "x"))
-        phi = make_rename(order, "pq", {"x": "p", "y": "q"})
+        phi = LetterMorphism(order, "pq", {"x": "p", "y": "q"})
         order2, pi2 = clustering_transport(order, pi, phi)
         assert order2 == ("p", "q") and pi2.images == ("q", "p")
         assert is_pi_clustering("pq", pi2)
@@ -320,7 +316,7 @@ class TestTransport:
     def test_case_inclusion(self):
         order = ("x", "y")
         pi = Perm(order, ("y", "x"))
-        order2, pi2 = clustering_transport(order, pi, make_inclusion(order, "xuyv"))
+        order2, pi2 = clustering_transport(order, pi, substitution(order, "xuyv"))
         assert order2 == ("x", "y", "u", "v")
         assert pi2.images == ("y", "x", "u", "v")
         assert is_pi_clustering("xy", pi2)
@@ -328,7 +324,7 @@ class TestTransport:
     def test_case_prepend(self):
         order = ("x", "y")
         pi = Perm(order, ("y", "x"))
-        phi = make_alpha_tilde(order, "x", "y")
+        phi = substitution(order, order, {"x": "yx"})
         order2, pi2 = clustering_transport(order, pi, phi)
         assert order2 == ("x", "y") and pi2.images == ("y", "x")
         assert is_pi_clustering(phi("xy"), pi2)
@@ -337,16 +333,16 @@ class TestTransport:
         order = ("x", "y", "z")
         pi = Perm(order, ("y", "z", "x"))
         with pytest.raises(DomainError, match="end of the order"):
-            clustering_transport(order, pi, make_alpha(order, "x", "y"))
+            clustering_transport(order, pi, substitution(order, order, {"x": "xy"}))
         with pytest.raises(DomainError, match="source"):
-            clustering_transport(order, pi, make_alpha("xyzq", "q", "x"))
+            clustering_transport(order, pi, substitution("xyzq", "xyzq", {"q": "qx"}))
         with pytest.raises(DomainError, match="end of the target"):
-            clustering_transport(order, pi, make_alpha(order, "x", "q", "xqyz"))
+            clustering_transport(order, pi, substitution(order, "xqyz", {"x": "xq"}))
         with pytest.raises(DomainError, match="not an elementary"):
             xyx = LetterMorphism(order, order, {"x": "xyx", "y": "y", "z": "z"})
             clustering_transport(order, pi, xyx)
         with pytest.raises(DomainError, match="source"):
-            clustering_transport(order, pi, make_rename("x", "p", {"x": "p"}))
+            clustering_transport(order, pi, LetterMorphism("x", "p", {"x": "p"}))
         with pytest.raises(DomainError, match="not injective"):
             merge = LetterMorphism(order, "pz", {"x": "p", "y": "p", "z": "z"})
             clustering_transport(order, pi, merge)
@@ -370,27 +366,27 @@ def _random_applicable_step(rng, order, pi):
     kind = rng.choice(["rename", "alpha", "alpha_tilde", "inclusion", "alpha_fresh"])
     if kind == "rename":
         targets = rng.sample("pqrstuv", len(order))
-        return make_rename(order, targets, dict(zip(order, targets)))
+        return LetterMorphism(order, targets, dict(zip(order, targets)))
     if kind == "inclusion":
         fresh = tuple(rng.sample("uvw", rng.randint(1, 2)))
-        return make_inclusion(order, order + fresh)
+        return substitution(order, order + fresh)
     if kind == "alpha_fresh":
         a = rng.choice(order)
         if rng.choice(["front", "back"]) == "front":
-            return make_alpha(order, a, "f", ("f",) + order)
-        return make_alpha(order, a, "f", order + ("f",))
+            return substitution(order, ("f",) + order, {a: a + "f"})
+        return substitution(order, order + ("f",), {a: a + "f"})
     if kind == "alpha":
         b = rng.choice([order[0], order[-1]])
         i = row.index(b)
         if b == order[0] and i > 0:
-            return make_alpha(order, row[i - 1], b)
+            return substitution(order, order, {row[i - 1]: row[i - 1] + b})
         if b == order[-1] and i + 1 < len(row):
-            return make_alpha(order, row[i + 1], b)
+            return substitution(order, order, {row[i + 1]: row[i + 1] + b})
         return None
     b = rng.choice([row[0], row[-1]])
     i = order.index(b)
     if b == row[0] and i > 0:
-        return make_alpha_tilde(order, order[i - 1], b)
+        return substitution(order, order, {order[i - 1]: b + order[i - 1]})
     if b == row[-1] and i + 1 < len(order):
-        return make_alpha_tilde(order, order[i + 1], b)
+        return substitution(order, order, {order[i + 1]: b + order[i + 1]})
     return None
