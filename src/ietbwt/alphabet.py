@@ -113,16 +113,6 @@ class Perm:
         return cls(tuple(Alphabet(letters)), tuple(row))
 
     @classmethod
-    def identity(cls, letters: LettersLike) -> "Perm":
-        base = tuple(Alphabet(letters))
-        return cls(base, base)
-
-    @classmethod
-    def symmetric(cls, letters: LettersLike) -> "Perm":
-        base = tuple(Alphabet(letters))
-        return cls(base, base[::-1])
-
-    @classmethod
     def from_cycles(cls, letters: LettersLike, cycles: Iterable[Iterable[str]]) -> "Perm":
         base = Alphabet(letters)
         mapping = {}

@@ -255,6 +255,8 @@ def cmd_ebwt(args):
 
 def cmd_cluster(args):
     if args.perm is not None:
+        if args.all:
+            raise DomainError("--all lists completions of an inferred permutation, not of --perm")
         base = tuple(sorted(set(args.word))) if args.order is None else args.order
         perm = Perm.from_one_line(base, args.perm)
         verdict = is_pi_clustering(args.word, perm)

@@ -37,7 +37,6 @@ class CylinderTable:
     """Non-empty cylinder intervals, level by level; level m holds every
     admissible length-m coding word with its interval."""
 
-    transformation: Iet
     depth: int
     levels: tuple[dict, ...]
 
@@ -51,9 +50,6 @@ class CylinderTable:
 
     def words(self) -> frozenset:
         return frozenset(w for level in self.levels for w in level)
-
-    def level(self, m: int) -> dict:
-        return dict(self.levels[m])
 
 
 def _image_slots(t: Iet) -> list:
@@ -95,7 +91,7 @@ def cylinders(t: Iet, depth: int) -> CylinderTable:
             for x, piece in _pull_back(slots, lo, hi):
                 nxt[x + w] = piece
         levels.append(nxt)
-    return CylinderTable(t, depth, tuple(levels))
+    return CylinderTable(depth, tuple(levels))
 
 
 def cylinder(t: Iet, word: str) -> Interval:
@@ -121,7 +117,6 @@ class LanguageSample:
     alphabet: tuple[str, ...]
     bound: int
     words: frozenset
-    source: str = ""
 
     def __contains__(self, word: str) -> bool:
         return word in self.words
@@ -138,7 +133,7 @@ class LanguageSample:
 def language(t: Iet, bound: int) -> LanguageSample:
     """All coding words of length up to the bound."""
     table = cylinders(t, bound)
-    return LanguageSample(t.alphabet.letters, bound, table.words(), "iet")
+    return LanguageSample(t.alphabet.letters, bound, table.words())
 
 
 def language_of_periodic(word: str, bound: int) -> LanguageSample:
@@ -155,7 +150,7 @@ def language_of_periodic(word: str, bound: int) -> LanguageSample:
     for n in range(1, bound + 1):
         for i in range(len(word)):
             words.add(reps[i : i + n])
-    return LanguageSample(tuple(sorted(set(word))), bound, frozenset(words), "periodic")
+    return LanguageSample(tuple(sorted(set(word))), bound, frozenset(words))
 
 
 def diet_language(spec: DietSpec, bound: int) -> LanguageSample:
@@ -167,7 +162,7 @@ def diet_language(spec: DietSpec, bound: int) -> LanguageSample:
     for cyc in cycles:
         cycle_word = "".join(word[i - 1] for i in cyc)
         words |= language_of_periodic(cycle_word, bound).words
-    return LanguageSample(spec.letters, bound, frozenset(words), "diet")
+    return LanguageSample(spec.letters, bound, frozenset(words))
 
 
 def left_return_words(
@@ -235,11 +230,6 @@ class LetterMorphism:
             return "".join(self.rules[ch] for ch in word)
         except KeyError as exc:
             raise DomainError("letter %s not in source alphabet" % exc) from exc
-
-    def is_identity(self) -> bool:
-        return self.source == self.target and all(
-            self.rules[x] == x for x in self.source
-        )
 
     def __eq__(self, other):
         if not isinstance(other, LetterMorphism):

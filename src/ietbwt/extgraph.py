@@ -8,8 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .alphabet import Perm
-from .coding import LanguageSample, language_of_periodic
+from .coding import LanguageSample
 from .errors import DomainError
 
 
@@ -154,9 +153,13 @@ def classify_language(
     bispecial factors can break those two properties."""
     _order_index("left", left_order)
     _order_index("right", right_order)
+    if max_word_len is not None and max_word_len < 0:
+        raise DomainError("factor length must be non-negative, got %d" % max_word_len)
+    if lang.bound < 2:
+        raise DomainError("language depth %d is below 2, too shallow to classify" % lang.bound)
     if max_word_len is None:
         max_word_len = lang.bound - 2
-    if max_word_len < 0 or lang.bound < max_word_len + 2:
+    if lang.bound < max_word_len + 2:
         raise DomainError(
             "need language depth %d to classify factors up to length %d"
             % (max_word_len + 2, max_word_len)
@@ -187,19 +190,4 @@ def classify_language(
         first_non_tree=first_non_tree,
         first_non_forest=first_non_forest,
         first_incompatible=first_incompatible,
-    )
-
-
-def periodic_clustering_report(
-    word: str, perm: Perm, max_word_len: Optional[int] = None
-) -> ClassifyReport:
-    """Classify the periodic closure of a word against the row order of a
-    permutation on the left and its base order on the right.  Factors up
-    to the word's own length decide the matter: longer bispecial factors
-    cannot occur in a periodic language of that period."""
-    if max_word_len is None:
-        max_word_len = len(word)
-    lang = language_of_periodic(word, max_word_len + 2)
-    return classify_language(
-        lang, perm.images, perm.letters, max_word_len
     )

@@ -102,10 +102,6 @@ class Iet:
     def translation(self, letter: str) -> FieldValue:
         return self._tau[letter]
 
-    def contains(self, x: FieldValue) -> bool:
-        lo, hi = self._domain
-        return lo <= x < hi
-
     def _slot(self, cuts: list, x: FieldValue) -> int:
         """Index of the interval between consecutive cuts that holds x."""
         i = bisect_right(cuts, x)
@@ -327,12 +323,12 @@ def diet_action(spec: DietSpec) -> tuple[tuple[int, ...], tuple[tuple[int, ...],
     return mapping, tuple(cycles)
 
 
-def diet_to_iet(spec: DietSpec, origin: Optional[FieldValue] = None) -> Iet:
+def diet_to_iet(spec: DietSpec) -> Iet:
     """The same exchange on [0, n) with unit-length cells merged per letter."""
     lengths = {
         x: FieldValue(c) for x, c in zip(spec.letters, spec.composition)
     }
-    return Iet(Alphabet.first(len(spec.composition)), lengths, spec.perm, origin)
+    return Iet(Alphabet.first(len(spec.composition)), lengths, spec.perm)
 
 
 def diet_lyndon_multiset(spec: DietSpec) -> tuple[str, ...]:

@@ -1,6 +1,6 @@
 """Induction on interval exchanges: one-sided Rauzy steps for arbitrary
-length comparisons, splitting along invariant blocks, admissibility
-windows, and the driver that induces onto a cylinder.
+length comparisons, splitting along invariant blocks, brute-force first
+returns, and the driver that induces onto a cylinder.
 
 Every step builds its map from the classical order and Rauzy row, then
 checks it, in every build, against the first returns of a declared
@@ -199,7 +199,7 @@ def split(t: Iet, block, branch: str) -> StepRecord:
     return StepRecord("split", t, t2, inclusion, block=letters, branch=branch, glue=glue)
 
 
-# -- first returns and admissibility ------------------------------------
+# -- first returns -----------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -222,56 +222,6 @@ def first_return_point(t: Iet, x: FieldValue, lo, hi) -> ReturnVisit:
         if lo <= cur < hi:
             return ReturnVisit(cur, n, "".join(letters))
     raise CapExceeded("no return to the window within %d steps" % _ORBIT_CAP, _ORBIT_CAP)
-
-
-def orbit_window(t: Iet, z: FieldValue, window: Interval):
-    """The finite orbit segment of z delimited by the open interior of the
-    window: forward iterates stop before entering it, backward iterates
-    stop on entering it, and a periodic orbit closes the segment."""
-    u, v = window
-    if not t.contains(z):
-        raise DomainError("point %s outside domain" % z)
-    out = {z}
-    cur = t.apply(z)
-    for _ in range(_ORBIT_CAP):
-        if u < cur < v or cur == z:
-            break
-        out.add(cur)
-        cur = t.apply(cur)
-    else:
-        raise CapExceeded("forward orbit exceeded %d steps" % _ORBIT_CAP, _ORBIT_CAP)
-    if not (u < z < v):
-        cur = t.apply_inverse(z)
-        for _ in range(_ORBIT_CAP):
-            if cur == z:
-                break
-            out.add(cur)
-            if u < cur < v:
-                break
-            cur = t.apply_inverse(cur)
-        else:
-            raise CapExceeded("backward orbit exceeded %d steps" % _ORBIT_CAP, _ORBIT_CAP)
-    return tuple(sorted(out))
-
-
-def div_set(t: Iet, window: Interval):
-    """Union of the orbit segments of all discontinuities."""
-    pts = set()
-    for g in t.discontinuities():
-        pts.update(orbit_window(t, g, window))
-    return tuple(sorted(pts))
-
-
-def is_admissible(t: Iet, window: Interval) -> bool:
-    """Whether both window endpoints are reachable cut points: members of
-    the discontinuity orbit set, or the right end of the domain."""
-    u, v = window
-    lo, hi = t.domain()
-    if not (lo <= u < v <= hi):
-        raise DomainError("window [%s, %s) not inside domain" % (u, v))
-    allowed = set(div_set(t, window))
-    allowed.add(hi)
-    return u in allowed and v in allowed
 
 
 # -- induction onto a cylinder ------------------------------------------

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from ietbwt.coding import LetterMorphism
+from ietbwt.coding import LetterMorphism, language_of_periodic
 from ietbwt.exact import FieldValue, make_quadratic, make_rational
+from ietbwt.extgraph import ClassifyReport, classify_language
 from ietbwt.iet import Iet, diet_spec
 
 
@@ -35,6 +36,15 @@ def substitution(source, target, images=()) -> LetterMorphism:
     rules = {x: x for x in source}
     rules.update(images)
     return LetterMorphism(source, target, rules)
+
+
+def periodic_report(word: str, perm) -> ClassifyReport:
+    """Classify the periodic closure of a word against the row order of a
+    permutation on the left and its base order on the right.  Factors up
+    to the word's own length decide the matter: longer bispecial factors
+    cannot occur in a periodic language of that period."""
+    lang = language_of_periodic(word, len(word) + 2)
+    return classify_language(lang, perm.images, perm.letters, len(word))
 
 
 def make_e5() -> Iet:

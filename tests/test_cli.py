@@ -433,6 +433,8 @@ def test_cluster_with_candidate(capsys):
     code, out, _ = run(capsys, ["cluster", "banana", "--order", "abn", "--perm", "abn"])
     assert code == 0
     assert out.strip() == "not clustering"
+    code, out, err = run(capsys, ["cluster", "aab", "--order", "ab", "--perm", "ba", "--all"])
+    assert (code, out) == (1, "") and "--all" in err and "--perm" in err
 
 
 def test_lyndon(capsys):
@@ -563,6 +565,14 @@ def test_classify_periodic(capsys):
         ],
     )
     assert data["ordered_alsinic"] is False
+
+
+def test_classify_names_a_bad_depth_or_length(capsys):
+    argv = ["classify", "--periodic", "ab", "--left", "ab", "--right", "ab"]
+    code, out, err = run(capsys, argv + ["--depth", "1"])
+    assert (code, out) == (1, "") and "language depth 1 is below 2" in err
+    code, out, err = run(capsys, argv + ["--max-len", "-1"])
+    assert (code, out) == (1, "") and "factor length must be non-negative, got -1" in err
 
 
 def test_verify_diet(capsys):

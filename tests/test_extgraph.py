@@ -12,9 +12,10 @@ from ietbwt.extgraph import (
     classify_language,
     compatible,
     extension_graph,
-    periodic_clustering_report,
 )
 from ietbwt.words import is_pi_clustering
+
+from conftest import periodic_report
 
 
 LEFT_421 = ("c", "b", "a")
@@ -140,10 +141,10 @@ def test_periodic_report_matches_bwt_for_banana():
     letters = ("a", "b", "n")
     clustered = Perm(letters, ("n", "b", "a"))
     assert is_pi_clustering("banana", clustered)
-    assert periodic_clustering_report("banana", clustered).ordered_alsinic
-    identity = Perm.identity(letters)
+    assert periodic_report("banana", clustered).ordered_alsinic
+    identity = Perm(letters, letters)
     assert not is_pi_clustering("banana", identity)
-    assert not periodic_clustering_report("banana", identity).ordered_alsinic
+    assert not periodic_report("banana", identity).ordered_alsinic
 
 
 def test_periodic_report_equivalence_small_words():
@@ -153,5 +154,5 @@ def test_periodic_report_equivalence_small_words():
         for row in itertools.permutations(letters):
             p = Perm(letters, row)
             expected = is_pi_clustering(w, p)
-            got = periodic_clustering_report(w, p).ordered_alsinic
+            got = periodic_report(w, p).ordered_alsinic
             assert got == expected, (w, row)

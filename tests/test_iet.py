@@ -218,7 +218,6 @@ class TestGeometryOracle:
         inside = 0
         for x in probes:
             want = letter_at(x)
-            assert t.contains(x) == (want is not None), x
             if want is None:
                 message = re.escape("point %s outside domain [%s, %s)" % (x, lo, hi))
                 for method in (t.letter_at, t.apply, t.apply_inverse):
@@ -297,7 +296,7 @@ class TestConstruction:
         with pytest.raises(DomainError):
             Iet("ab", ok, "cb")
         with pytest.raises(DomainError, match="permutation base 'ba' does not match"):
-            Iet("ab", ok, Perm.identity("ba"))
+            Iet("ab", ok, Perm("ba", "ba"))
         Iet("ab", ok, "ba")
 
     def test_int_and_fraction_lengths_are_coerced(self):

@@ -1,4 +1,4 @@
-"""Induction steps, splits, admissibility windows, and cylinder chains."""
+"""Induction steps, splits, first returns, and cylinder chains."""
 
 import os
 import random
@@ -17,15 +17,13 @@ from ietbwt.alphabet import Perm
 from ietbwt.coding import LetterMorphism, left_return_words, language
 from ietbwt.errors import CapExceeded, DomainError
 from ietbwt.exact import make_rational
+from ietbwt.extgraph import classify_language
 from ietbwt.iet import Iet, diet_to_iet
 from ietbwt.induction import (
     StepRecord,
-    div_set,
     first_return_point,
     induce_to_cylinder,
-    is_admissible,
     left_step,
-    orbit_window,
     right_step,
     split,
     y_interval,
@@ -439,31 +437,12 @@ def test_split_rejects_unknown_branch(e5):
             split(e5, ("d",), branch)
 
 
-# -- orbit windows and admissibility ------------------------------------
-
-
-def test_div_set_full_domain_e5(e5):
-    window = e5.domain()
-    expected = set(e5.discontinuities()) | {fv(0)}
-    assert set(div_set(e5, window)) == expected
-
-
-def test_orbit_window_fixed_point(e5):
-    window = e5.interval("c")
-    assert orbit_window(e5, fv(Fraction(2, 3)), window) == (fv(Fraction(2, 3)),)
+# -- first returns -----------------------------------------------------
 
 
 def test_first_return_from_outside_window(e5):
     with pytest.raises(DomainError, match="outside window"):
         first_return_point(e5, fv(Fraction(1, 2)), fv(0), fv(Fraction(1, 3)))
-
-
-def test_admissibility_e5(e5):
-    assert is_admissible(e5, e5.domain())
-    assert is_admissible(e5, e5.interval("c"))
-    assert not is_admissible(e5, (fv(0), fv(Fraction(1, 2))))
-    with pytest.raises(DomainError):
-        is_admissible(e5, (fv(0), fv(2)))
 
 
 # -- induction onto cylinders -------------------------------------------
@@ -573,7 +552,7 @@ def test_induce_empty_word(e5):
     chain = induce_to_cylinder(e5, "")
     assert chain.records == ()
     assert chain.final is e5
-    assert chain.morphism.is_identity()
+    assert chain.morphism.rules == {x: x for x in e5.alphabet}
 
 
 def test_induce_rejects_unknown_word(e5):
@@ -602,6 +581,29 @@ def test_induce_all_short_words_random():
             _check_chain(chain, samples_per_letter=2)
 
 
+def test_regular_quadratic_maps_are_tree_sets():
+    """The coding of a regular k-interval exchange is a tree set (Berthe et
+    al., "Bifix codes and interval exchanges", JPAA 2015): every factor has
+    exactly k return words, so every chain ends on k letters, and every
+    extension graph is a tree.  Regular here means no invariant block and
+    no connection within 60 steps."""
+    rng = random.Random(6)
+    maps = chains = 0
+    for _ in range(10):
+        t = random_quadratic_iet(rng, rng.choice((3, 4, 5)))
+        if t.invariant_blocks() or t.keane_probe(60) is not None:
+            continue
+        maps += 1
+        k = len(t.alphabet)
+        lang = language(t, 5)
+        for w in (u for n in (1, 2, 3) for u in lang.words_of_length(n)):
+            chains += 1
+            assert len(induce_to_cylinder(t, w).final.alphabet) == k, (t, w)
+        report = classify_language(lang, t.perm.images, t.alphabet.letters, 3)
+        assert report.dendric, (t, report.first_non_tree)
+    assert (maps, chains) == (9, 189)
+
+
 _SIDE_CONDITION = re.compile(r"must (place|sit at an end of the (order|row))")
 
 
@@ -619,7 +621,7 @@ def test_clustering_pairs_transport_along_chains(e5, golden, sym3, sym4, rationa
             for rec in chain.records:
                 letters = rec.after.alphabet.letters
                 try:
-                    clustering_transport(letters, Perm.identity(letters), rec.morphism)
+                    clustering_transport(letters, Perm(letters, letters), rec.morphism)
                 except DomainError as exc:
                     assert _SIDE_CONDITION.search(str(exc)), (w, rec.kind, exc)
             letters = chain.final.alphabet.letters
