@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from itertools import accumulate
 
 from .alphabet import Perm
@@ -410,12 +411,13 @@ _COMMANDS = {
 }
 
 
+@cache
 def build_parser(command=None) -> argparse.ArgumentParser:
     """The parser for one subcommand, or for all of them when command is
-    None.  A one-subcommand parser still lists every name in its usage
-    line, so its usage errors read as the full parser's do; the full
-    parser keeps argparse's metavar, which its choice errors call
-    'command'."""
+    None, built once per process.  A one-subcommand parser still lists
+    every name in its usage line, so its usage errors read as the full
+    parser's do; the full parser keeps argparse's metavar, which its
+    choice errors call 'command'."""
     parser = _Parser(prog="ietbwt", description=__doc__)
     subs = parser.add_subparsers(
         dest="command",

@@ -4,20 +4,23 @@ steps produce.
 
 A language sample holds every factor up to a stated bound, so membership
 questions are only meaningful up to that bound.
+
+Cylinder levels are pulled back on the exchange's integer frame (see
+`iet`), so their ends stay integer pairs: `language` keeps only the
+words, and `cylinders` and `cylinder` turn each end into a FieldValue once.
 """
 
 from __future__ import annotations
 
 import sys
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
 
 from .alphabet import Alphabet, LettersLike
 from .errors import DomainError
-from .exact import FieldValue
-from .iet import DietSpec, Iet, Interval, diet_action
+from .exact import FieldValue, _make, _sign
+from .iet import DietSpec, Iet, Interval, _bisect, diet_action
 
 
 def trajectory(t: Iet, x: FieldValue, n: int) -> str:
@@ -48,63 +51,67 @@ class CylinderTable:
         except KeyError:
             raise DomainError("empty cylinder for %r" % word) from None
 
-    def words(self) -> frozenset:
-        return frozenset(w for level in self.levels for w in level)
 
+def _levels(t: Iet, depth: int, word: str = ""):
+    """Yield cylinder levels 0 to depth, each {w: (lo, hi)} with the ends
+    as integer pairs in t's frame, from I_xw = T^-1(T(I_x) ∩ I_w).  Given
+    a word, level m keeps only the word's suffix of length m.
 
-def _image_slots(t: Iet) -> list:
-    """Per image slot T(I_x) in row order: the letter x, I_x, the slot's
-    right end and tau_x."""
-    return [
-        (x, t.interval(x), t.image_interval(x)[1], t.translation(x))
-        for x in t.perm.images
+    For [lo, hi) the first image slot that ends after lo starts at or
+    before it, and every slot after it starts where the one before ended;
+    the walk stops at the slot that reaches hi.  Only the first and the
+    last piece are cut, and a piece whose slot lies inside [lo, hi) is all
+    of I_x."""
+    if depth < 0:
+        raise DomainError("depth must be non-negative")
+    d = t._frame[0]
+    cuts, ends = t._cuts, t._image_cuts[1:]
+    slots = [
+        (t.alphabet.letters[i], cuts[i], cuts[i + 1], end, t._tau[i])
+        for i, end in zip(t._rank, ends)
     ]
-
-
-def _pull_back(slots: list, lo: FieldValue, hi: FieldValue):
-    """Yield (x, I_x ∩ T^-1([lo, hi))) for every letter whose image slot
-    meets [lo, hi), a non-empty interval inside the domain, in row order.
-
-    The first slot that ends after lo starts at or before it, and every
-    slot after it starts where the one before ended; the walk stops at the
-    slot that reaches hi.  Only the first and the last piece are cut, and
-    a piece whose slot lies inside [lo, hi) is all of I_x."""
-    first = True
-    for i in range(bisect_right(slots, lo, key=lambda slot: slot[2]), len(slots)):
-        x, (xlo, xhi), ihi, tau = slots[i]
-        last = hi <= ihi
-        yield x, (lo - tau if first else xlo, hi - tau if last else xhi)
-        if last:
-            return
-        first = False
+    level = {"": (cuts[0], cuts[-1])}
+    yield level
+    for m in range(1, depth + 1):
+        nxt = {}
+        for w, ((la, lb), (ha, hb)) in level.items():
+            first = True
+            for j in range(_bisect(ends, la, lb, d), len(slots)):
+                x, xlo, xhi, (ea, eb), (ta, tb) = slots[j]
+                last = _sign(ha - ea, hb - eb, d) <= 0
+                nxt[x + w] = (
+                    (la - ta, lb - tb) if first else xlo,
+                    (ha - ta, hb - tb) if last else xhi,
+                )
+                if last:
+                    break
+                first = False
+        if word:
+            suffix = word[-m:]
+            nxt = {suffix: nxt[suffix]} if suffix in nxt else {}
+        yield nxt
+        level = nxt
 
 
 def cylinders(t: Iet, depth: int) -> CylinderTable:
-    """Every non-empty cylinder up to the depth, from I_xw = T^-1(T(I_x) ∩ I_w)."""
-    if depth < 0:
-        raise DomainError("depth must be non-negative")
-    slots = _image_slots(t)
-    levels: list[dict] = [{"": t.domain()}]
-    for _ in range(depth):
-        nxt: dict = {}
-        for w, (lo, hi) in levels[-1].items():
-            for x, piece in _pull_back(slots, lo, hi):
-                nxt[x + w] = piece
-        levels.append(nxt)
-    return CylinderTable(depth, tuple(levels))
+    """Every non-empty cylinder up to the depth; each distinct end becomes
+    one FieldValue."""
+    levels = tuple(_levels(t, depth))
+    d, n = t._frame
+    values = {end: _make(*end, d, n) for lv in levels for iv in lv.values() for end in iv}
+    return CylinderTable(depth, tuple(
+        {w: (values[lo], values[hi]) for w, (lo, hi) in lv.items()} for lv in levels
+    ))
 
 
 def cylinder(t: Iet, word: str) -> Interval:
     """The interval I_w coded by the word, pulled back right to left one
-    letter at a time, as `cylinders` does level by level."""
-    slots = _image_slots(t)
-    lo, hi = t.domain()
-    for x in reversed(word):
-        piece = next((iv for y, iv in _pull_back(slots, lo, hi) if y == x), None)
-        if piece is None:
-            raise DomainError("empty cylinder for %r" % word)
-        lo, hi = piece
-    return lo, hi
+    letter at a time along the word's suffixes."""
+    *_, level = _levels(t, len(word), word)
+    if word not in level:
+        raise DomainError("empty cylinder for %r" % word)
+    d, n = t._frame
+    return tuple(_make(*end, d, n) for end in level[word])
 
 
 @dataclass(frozen=True)
@@ -124,16 +131,20 @@ class LanguageSample:
     @cached_property
     def _by_length(self) -> dict[int, tuple[str, ...]]:
         ordered = sorted(sorted(self.words), key=len)
-        return {n: tuple(ws) for n, ws in groupby(ordered, len)}
+        # from a list, not the group iterator: a tuple grown from an iterator
+        # is resized into its size, and once freed it stays on CPython's
+        # tuple free list for that size until a full collection
+        return {n: tuple(list(ws)) for n, ws in groupby(ordered, len)}
 
     def words_of_length(self, n: int) -> tuple[str, ...]:
         return self._by_length.get(n, ())
 
 
 def language(t: Iet, bound: int) -> LanguageSample:
-    """All coding words of length up to the bound."""
-    table = cylinders(t, bound)
-    return LanguageSample(t.alphabet.letters, bound, table.words())
+    """All coding words of length up to the bound: the words of the
+    cylinder levels, whose ends stay integer pairs."""
+    words = frozenset(w for level in _levels(t, bound) for w in level)
+    return LanguageSample(t.alphabet.letters, bound, words)
 
 
 def language_of_periodic(word: str, bound: int) -> LanguageSample:

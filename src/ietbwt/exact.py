@@ -346,7 +346,8 @@ def compare(x: FieldValue, y: FieldValue) -> int:
     return s
 
 
-_TERM = re.compile(r"([+-]?)(?:(\d+(?:/\d+)?)\*?)?(?:sqrt\((\d+)\))?$")
+# a '*' only joins a coefficient to sqrt(...): "3*" is no term
+_TERM = re.compile(r"([+-]?)(?:(\d+(?:/\d+)?)(?:\*(?=sqrt))?)?(?:sqrt\((\d+)\))?$")
 
 
 def parse_value(text: str) -> FieldValue:

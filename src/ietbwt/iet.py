@@ -4,6 +4,13 @@ An IET is given by an ordered alphabet, one positive exact length per
 letter, a permutation whose one-line row lists the image order left to
 right, and an origin.  All intervals are half-open [x, y).  The map is
 total on its domain: each point moves by the translation of its letter.
+
+Each exchange has one integer frame: the radicand d and the lcm n of the
+denominators of its origin and lengths.  Its cuts, image cuts and
+translations are stored once as integer pairs (A, B) meaning
+(A + B*sqrt(d))/n, so adding and comparing them is integer work; the
+FieldValues the geometry methods hand out are built once from those
+pairs.  Cylinder levels and first-return walks run on the pairs.
 """
 
 from __future__ import annotations
@@ -12,11 +19,14 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate, chain
+from math import lcm
 from typing import Iterable, Optional, Union
 
 from .alphabet import Alphabet, LettersLike, Perm
 from .errors import DomainError
-from .exact import FieldValue, ZERO, value_from_json
+from .exact import FieldValue, ZERO, _make, _sign, value_from_json
 from .words import lyndon_representative
 
 Interval = tuple[FieldValue, FieldValue]
@@ -32,13 +42,39 @@ class Connection:
     steps: int
 
 
-def _as_value(v, name: str) -> FieldValue:
-    """A FieldValue, int or Fraction as a FieldValue; anything else is refused."""
+def _as_value(v, letter: Optional[str] = None) -> FieldValue:
+    """The origin, or a letter's length, as a FieldValue: an int or a
+    Fraction is converted and anything else is refused."""
+    if isinstance(v, FieldValue):
+        return v
     if isinstance(v, (int, Fraction)):
-        v = FieldValue(v)
-    elif not isinstance(v, FieldValue):
-        raise DomainError("%s must be an int, Fraction or FieldValue, got %r" % (name, v))
-    return v
+        return FieldValue(v)
+    what = "origin" if letter is None else "length of %r" % letter
+    raise DomainError("%s must be an int, Fraction or FieldValue, got %r" % (what, v))
+
+
+def _pair(v: FieldValue, n: int) -> tuple[int, int]:
+    """v as the integers (A, B) of (A + B*sqrt(d))/n; v.n must divide n."""
+    s = n // v.n
+    return v.a * s, v.b * s
+
+
+def _tile(start: tuple[int, int], widths) -> tuple:
+    """Cuts from start, one width at a time: pairs over one denominator."""
+    return tuple(accumulate(widths, lambda p, w: (p[0] + w[0], p[1] + w[1]), initial=start))
+
+
+def _bisect(cuts: tuple, a: int, b: int, d: int) -> int:
+    """bisect_right of the pair (a, b) in ascending pairs over the same
+    denominator, decided by the exact sign of each difference."""
+    lo, hi = 0, len(cuts)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _sign(a - cuts[mid][0], b - cuts[mid][1], d) < 0:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 class Iet:
@@ -58,10 +94,10 @@ class Iet:
                 % ("".join(perm.letters), self.alphabet)
             )
         self.perm = perm
-        self.origin = _as_value(ZERO if origin is None else origin, "origin")
+        self.origin = _as_value(ZERO if origin is None else origin)
         if set(lengths) != set(self.alphabet):
             raise DomainError("lengths must cover exactly the alphabet")
-        self.lengths = {x: _as_value(lengths[x], "length of %r" % x) for x in self.alphabet}
+        self.lengths = {x: _as_value(lengths[x], x) for x in self.alphabet}
         radicands = {v.d for v in self.lengths.values()} | {self.origin.d}
         radicands.discard(0)
         if len(radicands) > 1:
@@ -69,56 +105,66 @@ class Iet:
         for x, v in self.lengths.items():
             if v.sign() <= 0:
                 raise DomainError("length of %r must be positive, got %s" % (x, v))
-        # built once: letter intervals, image slots, and the cuts that
-        # letter_at and apply_inverse bisect
-        self._intervals, self._cuts = self._tile(self.alphabet.letters)
-        self._image_intervals, self._image_cuts = self._tile(self.perm.images)
-        self._domain = (self.origin, self._cuts[-1])
-        self._tau = {x: self._image_intervals[x][0] - self.left(x) for x in self.alphabet}
+        # the frame, built once: every cut and translation is an integer
+        # pair (A, B) standing for (A + B*sqrt(d))/n
+        d = radicands.pop() if radicands else 0
+        n = lcm(self.origin.n, *(v.n for v in self.lengths.values()))
+        self._frame = (d, n)
+        widths = [_pair(v, n) for v in self.lengths.values()]
+        self._rank = tuple(map(self.alphabet.index, self.perm.images))  # each slot's letter
+        self._cuts = _tile(_pair(self.origin, n), widths)
+        self._image_cuts = _tile(self._cuts[0], [widths[i] for i in self._rank])
+        tau = [None] * len(widths)  # per letter: its slot's left end minus its own
+        for (ia, ib), i in zip(self._image_cuts, self._rank):
+            tau[i] = (ia - self._cuts[i][0], ib - self._cuts[i][1])
+        self._tau = tuple(tau)
+        # the values the geometry methods hand out; both tilings share their ends
+        self._values = (self.origin, *(_make(a, b, d, n) for a, b in self._cuts[1:]))
+        inner = (_make(a, b, d, n) for a, b in self._image_cuts[1:-1])
+        self._image_values = (self.origin, *inner, self._values[-1])
 
-    def _tile(self, order) -> tuple[dict[str, Interval], list[FieldValue]]:
-        """Consecutive intervals from the origin, one per letter in order,
-        and their cuts: every left endpoint, then the right end."""
-        out, cuts = {}, [self.origin]
-        for x in order:
-            cuts.append(cuts[-1] + self.lengths[x])
-            out[x] = (cuts[-2], cuts[-1])
-        return out, cuts
+    @cached_property
+    def _translations(self) -> tuple[FieldValue, ...]:
+        """The translations as FieldValues, built on first use."""
+        d, n = self._frame
+        return tuple(_make(a, b, d, n) for a, b in self._tau)
 
     # -- geometry --------------------------------------------------------
 
     def domain(self) -> Interval:
-        return self._domain
+        return self._values[0], self._values[-1]
 
     def interval(self, letter: str) -> Interval:
-        return self._intervals[letter]
+        i = self.alphabet.index(letter)
+        return self._values[i : i + 2]
 
     def image_interval(self, letter: str) -> Interval:
-        return self._image_intervals[letter]
+        j = self._rank.index(self.alphabet.index(letter))
+        return self._image_values[j : j + 2]
 
     def left(self, letter: str) -> FieldValue:
-        return self._intervals[letter][0]
+        return self._values[self.alphabet.index(letter)]
 
     def translation(self, letter: str) -> FieldValue:
-        return self._tau[letter]
+        return self._translations[self.alphabet.index(letter)]
 
-    def _slot(self, cuts: list, x: FieldValue) -> int:
+    def _slot(self, cuts: tuple, x: FieldValue) -> int:
         """Index of the interval between consecutive cuts that holds x."""
         i = bisect_right(cuts, x)
         if not 0 < i < len(cuts):
-            raise DomainError("point %s outside domain [%s, %s)" % (x, *self._domain))
+            raise DomainError("point %s outside domain [%s, %s)" % (x, *self.domain()))
         return i - 1
 
     def letter_at(self, x: FieldValue) -> str:
-        return self.alphabet.letters[self._slot(self._cuts, x)]
+        return self.alphabet.letters[self._slot(self._values, x)]
 
     # -- the map ---------------------------------------------------------
 
     def apply(self, x: FieldValue) -> FieldValue:
-        return x + self._tau[self.letter_at(x)]
+        return x + self.translation(self.letter_at(x))
 
     def apply_inverse(self, y: FieldValue) -> FieldValue:
-        return y - self._tau[self.perm.images[self._slot(self._image_cuts, y)]]
+        return y - self.translation(self.perm.images[self._slot(self._image_values, y)])
 
     def apply_n(self, x: FieldValue, n: int) -> FieldValue:
         step = self.apply if n >= 0 else self.apply_inverse
@@ -130,11 +176,11 @@ class Iet:
 
     def discontinuities(self) -> tuple[FieldValue, ...]:
         """Interior left endpoints of the domain intervals, ascending."""
-        return tuple(self._cuts[1:-1])
+        return self._values[1:-1]
 
     def discontinuities_inverse(self) -> tuple[FieldValue, ...]:
         """Interior left endpoints of the image slots, ascending."""
-        return tuple(self._image_cuts[1:-1])
+        return self._image_values[1:-1]
 
     def zero_connections(self) -> tuple[FieldValue, ...]:
         inv = self.discontinuities_inverse()
@@ -292,34 +338,22 @@ def diet_spec(composition: Iterable[int], row: LettersLike) -> DietSpec:
 
 def diet_action(spec: DietSpec) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """The permutation of positions 1..n: a mapping tuple (mapping[i-1] is
-    the image of i) and its cycles, each from its least element."""
-    dom_start = {}
-    acc = 1
-    for x, c in zip(spec.letters, spec.composition):
-        dom_start[x] = acc
-        acc += c
-    img_start = {}
-    acc = 1
-    for y in spec.perm.images:
-        img_start[y] = acc
-        acc += spec.composition[spec.letters.index(y)]
-    word = spec.word()
-    mapping = tuple(
-        img_start[word[i]] + (i + 1 - dom_start[word[i]]) for i in range(spec.size)
-    )
-    seen: set[int] = set()
+    the image of i) and its cycles, each from its least element.  Letter
+    x's run of positions moves onto its image slot, one range per letter."""
+    size = dict(zip(spec.letters, spec.composition))
+    row = spec.perm.images
+    start = dict(zip(row, accumulate((size[y] for y in row), initial=1)))
+    mapping = tuple(chain.from_iterable(range(start[x], start[x] + size[x]) for x in size))
+    seen = bytearray(spec.size + 1)
     cycles = []
-    for start in range(1, spec.size + 1):
-        if start in seen:
-            continue
-        cyc = [start]
-        seen.add(start)
-        j = mapping[start - 1]
-        while j != start:
-            cyc.append(j)
-            seen.add(j)
-            j = mapping[j - 1]
-        cycles.append(tuple(cyc))
+    for i in range(1, spec.size + 1):
+        if not seen[i]:
+            cyc, j = [], i
+            while not seen[j]:
+                seen[j] = 1
+                cyc.append(j)
+                j = mapping[j - 1]
+            cycles.append(tuple(cyc))
     return mapping, tuple(cycles)
 
 

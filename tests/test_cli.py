@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import ietbwt
-from ietbwt.cli import main
+from ietbwt.cli import build_parser, main
 
 from conftest import BAD_PERMUTATIONS, REPEATED_CYCLES
 
@@ -622,7 +622,10 @@ def test_usage_error_text(capsys, monkeypatch, argv, expected):
     assert (exc.value.code, *capsys.readouterr()) == (64, "", expected)
 
 
-def test_only_the_named_subcommand_is_built(capsys, monkeypatch):
+@pytest.fixture
+def built(monkeypatch):
+    """The names of the subcommand parsers built from now on, starting
+    from an empty parser cache."""
     names = []
     add_parser = argparse._SubParsersAction.add_parser
 
@@ -631,8 +634,20 @@ def test_only_the_named_subcommand_is_built(capsys, monkeypatch):
         return add_parser(self, name, **kwargs)
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    build_parser.cache_clear()
+    return names
+
+
+def test_only_the_named_subcommand_is_built(capsys, built):
     assert run(capsys, ["bwt", "banana"]) == (0, "nnbaaa\n", "")
-    assert names == ["bwt"]
+    assert built == ["bwt"]
+
+
+def test_each_parser_is_built_once(capsys, built):
+    for _ in range(2):
+        assert run(capsys, ["bwt", "banana"]) == (0, "nnbaaa\n", "")
+        assert run(capsys, ["lyndon", "ba"]) == (0, "ab\n", "")
+    assert built == ["bwt", "lyndon"]
 
 
 def test_main_reads_sys_argv(capsys, monkeypatch):
@@ -681,6 +696,9 @@ def test_bad_inputs_exit_1(capsys, tmp_path):
     assert (code, out) == (1, "") and "left order 'aba' repeats a letter" in err
     code, out, err = run(capsys, ["info", "--diet", ",".join("1" * 27) + "/" + "a" * 27])
     assert (code, out) == (1, "") and "need 1 <= k <= 26, got 27" in err
+    for point in ("3*", "1/2*"):
+        code, out, err = run(capsys, ["eval"] + RAT2 + ["--point", point])
+        assert (code, out) == (1, "") and "cannot parse term %r" % point in err
     spec = ["--diet", "99999999999999999999/a"]
     for argv in (["diet", spec[1]], ["language", *spec], ["extgraph", *spec, "--word", "a"],
                  ["classify", *spec, "--left", "a", "--right", "a"]):

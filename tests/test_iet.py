@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from ietbwt.alphabet import Alphabet, Perm
+from ietbwt.coding import trajectory
 from ietbwt.errors import DomainError
 from ietbwt.exact import FieldValue, make_quadratic, make_rational
 from ietbwt.induction import first_return_point
@@ -232,19 +233,18 @@ class TestGeometryOracle:
         assert inside >= 40
 
     def test_first_return_reads_each_letter_once(self):
+        """The walk's itinerary is the coding of x up to its return time,
+        its point is that iterate, and no earlier iterate is in the window."""
         rng = random.Random(9)
         for make in self.EXCHANGES.values():
             t = make()
-            calls = []
-            lookup = t.letter_at
-            t.letter_at = lambda x: calls.append(x) or lookup(x)
             lo, hi = t.interval(t.alphabet.letters[-1])
             for _ in range(10):
                 x = lo + (hi - lo) * Fraction(rng.randint(0, 99), 100)
-                calls.clear()
                 visit = first_return_point(t, x, lo, hi)
-                assert len(calls) == visit.time
-                assert calls[0] == x
+                assert visit.itinerary == trajectory(t, x, visit.time)
+                assert visit.point == t.apply_n(x, visit.time)
+                assert not any(lo <= t.apply_n(x, n) < hi for n in range(1, visit.time))
 
 
 class TestConnections:
