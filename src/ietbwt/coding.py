@@ -5,8 +5,8 @@ steps produce.
 A language sample holds every factor up to a stated bound, so membership
 questions are only meaningful up to that bound.
 
-Cylinder levels are pulled back on the exchange's integer frame (see
-`iet`), so their ends stay integer pairs: `language` keeps only the
+The exchange pulls its cylinder levels back on its own integer frame
+(see `iet`), so their ends stay integer pairs: `language` keeps only the
 words, and `cylinders` and `cylinder` turn each end into a FieldValue once.
 """
 
@@ -19,8 +19,8 @@ from itertools import groupby
 
 from .alphabet import Alphabet, LettersLike
 from .errors import DomainError
-from .exact import FieldValue, _make, _sign
-from .iet import DietSpec, Iet, Interval, _bisect, diet_action
+from .exact import FieldValue
+from .iet import DietSpec, Iet, Interval, diet_action
 
 
 def trajectory(t: Iet, x: FieldValue, n: int) -> str:
@@ -52,53 +52,11 @@ class CylinderTable:
             raise DomainError("empty cylinder for %r" % word) from None
 
 
-def _levels(t: Iet, depth: int, word: str = ""):
-    """Yield cylinder levels 0 to depth, each {w: (lo, hi)} with the ends
-    as integer pairs in t's frame, from I_xw = T^-1(T(I_x) ∩ I_w).  Given
-    a word, level m keeps only the word's suffix of length m.
-
-    For [lo, hi) the first image slot that ends after lo starts at or
-    before it, and every slot after it starts where the one before ended;
-    the walk stops at the slot that reaches hi.  Only the first and the
-    last piece are cut, and a piece whose slot lies inside [lo, hi) is all
-    of I_x."""
-    if depth < 0:
-        raise DomainError("depth must be non-negative")
-    d = t._frame[0]
-    cuts, ends = t._cuts, t._image_cuts[1:]
-    slots = [
-        (t.alphabet.letters[i], cuts[i], cuts[i + 1], end, t._tau[i])
-        for i, end in zip(t._rank, ends)
-    ]
-    level = {"": (cuts[0], cuts[-1])}
-    yield level
-    for m in range(1, depth + 1):
-        nxt = {}
-        for w, ((la, lb), (ha, hb)) in level.items():
-            first = True
-            for j in range(_bisect(ends, la, lb, d), len(slots)):
-                x, xlo, xhi, (ea, eb), (ta, tb) = slots[j]
-                last = _sign(ha - ea, hb - eb, d) <= 0
-                nxt[x + w] = (
-                    (la - ta, lb - tb) if first else xlo,
-                    (ha - ta, hb - tb) if last else xhi,
-                )
-                if last:
-                    break
-                first = False
-        if word:
-            suffix = word[-m:]
-            nxt = {suffix: nxt[suffix]} if suffix in nxt else {}
-        yield nxt
-        level = nxt
-
-
 def cylinders(t: Iet, depth: int) -> CylinderTable:
     """Every non-empty cylinder up to the depth; each distinct end becomes
     one FieldValue."""
-    levels = tuple(_levels(t, depth))
-    d, n = t._frame
-    values = {end: _make(*end, d, n) for lv in levels for iv in lv.values() for end in iv}
+    levels = tuple(t._levels(depth))
+    values = {end: t._value(end) for lv in levels for iv in lv.values() for end in iv}
     return CylinderTable(depth, tuple(
         {w: (values[lo], values[hi]) for w, (lo, hi) in lv.items()} for lv in levels
     ))
@@ -107,11 +65,10 @@ def cylinders(t: Iet, depth: int) -> CylinderTable:
 def cylinder(t: Iet, word: str) -> Interval:
     """The interval I_w coded by the word, pulled back right to left one
     letter at a time along the word's suffixes."""
-    *_, level = _levels(t, len(word), word)
+    *_, level = t._levels(len(word), word)
     if word not in level:
         raise DomainError("empty cylinder for %r" % word)
-    d, n = t._frame
-    return tuple(_make(*end, d, n) for end in level[word])
+    return tuple(map(t._value, level[word]))
 
 
 @dataclass(frozen=True)
@@ -143,7 +100,7 @@ class LanguageSample:
 def language(t: Iet, bound: int) -> LanguageSample:
     """All coding words of length up to the bound: the words of the
     cylinder levels, whose ends stay integer pairs."""
-    words = frozenset(w for level in _levels(t, bound) for w in level)
+    words = frozenset(w for level in t._levels(bound) for w in level)
     return LanguageSample(t.alphabet.letters, bound, words)
 
 

@@ -377,14 +377,21 @@ def parse_value(text: str) -> FieldValue:
     return total
 
 
+_RATIO = re.compile(r"[+-]?\d+(?:/\d+)?")
+
+
 def value_from_json(obj) -> FieldValue:
-    """Accept either the string grammar or {"p": .., "q": .., "d": ..}."""
+    """Accept either the string grammar or {"p": .., "q": .., "d": ..} with
+    integers, p and q also as strings of integers or integer ratios."""
     if isinstance(obj, str):
         return parse_value(obj)
     if isinstance(obj, dict):
         for key in ("p", "q", "d"):
-            if isinstance(obj.get(key), float):
-                raise DomainError("refusing float %r for %r" % (obj[key], key))
+            v = obj.get(key)
+            if isinstance(v, (float, bool)):
+                raise DomainError("refusing %s %r for %r" % (type(v).__name__, v, key))
+            if isinstance(v, str) and key != "d" and not _RATIO.fullmatch(v):
+                raise DomainError("refusing %r for %r: not an integer or integer ratio" % (v, key))
         try:
             p = Fraction(obj["p"])
             q = Fraction(obj.get("q", 0))

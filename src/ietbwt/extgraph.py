@@ -80,11 +80,10 @@ def extension_graph(lang: LanguageSample, word: str) -> ExtensionGraph:
             % (lang.bound, len(word))
         )
     letters = tuple(lang.alphabet)
-    left = tuple(a for a in letters if a + word in lang)
-    right = tuple(b for b in letters if word + b in lang)
-    edges = tuple(
-        (a, b) for a in left for b in right if a + word + b in lang
-    )
+    # tuples from lists, not generators (see LanguageSample._by_length)
+    left = tuple([a for a in letters if a + word in lang])
+    right = tuple([b for b in letters if word + b in lang])
+    edges = tuple([(a, b) for a in left for b in right if a + word + b in lang])
     return ExtensionGraph(word, left, right, edges)
 
 

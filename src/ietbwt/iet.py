@@ -10,13 +10,13 @@ denominators of its origin and lengths.  Its cuts, image cuts and
 translations are stored once as integer pairs (A, B) meaning
 (A + B*sqrt(d))/n, so adding and comparing them is integer work; the
 FieldValues the geometry methods hand out are built once from those
-pairs.  Cylinder levels and first-return walks run on the pairs.
+pairs.  Only this module reads the frame: cylinder levels, first-return
+walks, `letter_at` and `apply_inverse` all run on the pairs.
 """
 
 from __future__ import annotations
 
 import sys
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -25,7 +25,7 @@ from math import lcm
 from typing import Iterable, Optional, Union
 
 from .alphabet import Alphabet, LettersLike, Perm
-from .errors import DomainError
+from .errors import CapExceeded, DomainError, check
 from .exact import FieldValue, ZERO, _make, _sign, value_from_json
 from .words import lyndon_representative
 
@@ -126,8 +126,105 @@ class Iet:
     @cached_property
     def _translations(self) -> tuple[FieldValue, ...]:
         """The translations as FieldValues, built on first use."""
+        return tuple(map(self._value, self._tau))
+
+    # -- the integer frame -----------------------------------------------
+
+    def _value(self, pair: tuple[int, int]) -> FieldValue:
+        """A frame pair as a FieldValue."""
+        return _make(*pair, *self._frame)
+
+    def _widen(self, values, *pairs) -> tuple:
+        """(d, n, *pairs): the frame widened by the lcm of the values'
+        denominators, with each tuple of frame pairs rescaled to it.  A
+        rational map adopts a value's radicand; a second one is refused."""
         d, n = self._frame
-        return tuple(_make(a, b, d, n) for a, b in self._tau)
+        for v in values:
+            if v.d and v.d != d:
+                if d:
+                    raise DomainError("incompatible radicands %d and %d" % (d, v.d))
+                d = v.d
+            n = n if n % v.n == 0 else lcm(n, v.n)
+        s = n // self._frame[1]
+        if s != 1:
+            pairs = [[(a * s, b * s) for a, b in p] for p in pairs]
+        return (d, n, *pairs)
+
+    def _locate(self, cuts: tuple, x: FieldValue) -> int:
+        """Index of the interval between consecutive frame cuts that holds x."""
+        d, n, cuts = self._widen((x,), cuts)
+        i = _bisect(cuts, *_pair(x, n), d) - 1
+        if not 0 <= i < len(cuts) - 1:
+            raise DomainError("point %s outside domain [%s, %s)" % (x, *self.domain()))
+        return i
+
+    def _levels(self, depth: int, word: str = ""):
+        """Yield cylinder levels 0 to depth, each {w: (lo, hi)} with frame
+        pairs as ends, from I_xw = T^-1(T(I_x) ∩ I_w); given a word, level m
+        keeps only its suffix of length m.  For [lo, hi) the first image slot
+        that ends after lo starts at or before it, and every later slot starts
+        where the one before ended, up to the slot that reaches hi: only the
+        first and the last piece are cut, and the others are all of I_x."""
+        if depth < 0:
+            raise DomainError("depth must be non-negative")
+        d = self._frame[0]
+        cuts, ends = self._cuts, self._image_cuts[1:]
+        slots = [
+            (self.alphabet.letters[i], cuts[i], cuts[i + 1], end, self._tau[i])
+            for i, end in zip(self._rank, ends)
+        ]
+        level = {"": (cuts[0], cuts[-1])}
+        yield level
+        for m in range(1, depth + 1):
+            nxt = {}
+            for w, ((la, lb), (ha, hb)) in level.items():
+                first = True
+                for j in range(_bisect(ends, la, lb, d), len(slots)):
+                    x, xlo, xhi, (ea, eb), (ta, tb) = slots[j]
+                    last = _sign(ha - ea, hb - eb, d) <= 0
+                    nxt[x + w] = (
+                        (la - ta, lb - tb) if first else xlo,
+                        (ha - ta, hb - tb) if last else xhi,
+                    )
+                    if last:
+                        break
+                    first = False
+            if word:
+                suffix = word[-m:]
+                nxt = {suffix: nxt[suffix]} if suffix in nxt else {}
+            yield nxt
+            level = nxt
+
+    def _walk(self, lo, hi, pieces, cap: int, capped: str) -> list:
+        """Move each (start, width) piece by the map, at least once, until it
+        lies in [lo, hi), checking at every iterate that it moves rigidly,
+        inside one letter interval; a point is a piece of width zero.  Returns
+        each piece's landing and itinerary, walked on frame pairs widened for
+        the inputs; a walk longer than cap raises CapExceeded(capped % cap)."""
+        d, n, cuts, taus = self._widen((lo, hi, *chain(*pieces)), self._cuts, self._tau)
+        (la, lb), (ha, hb) = _pair(lo, n), _pair(hi, n)
+        landings = []
+        for start, width in pieces:
+            (a, b), (wa, wb) = _pair(start, n), _pair(width, n)
+            word = []
+            for _ in range(cap):
+                i = _bisect(cuts, a, b, d) - 1
+                if not 0 <= i < len(taus):
+                    raise DomainError(
+                        "point %s outside domain [%s, %s)" % (_make(a, b, d, n), *self.domain())
+                    )
+                ea, eb = cuts[i + 1]
+                check(_sign(ea - a - wa, eb - b - wb, d) >= 0, "piece does not move rigidly")
+                word.append(self.alphabet.letters[i])
+                a, b = a + taus[i][0], b + taus[i][1]
+                if _sign(a - la, b - lb, d) >= 0:
+                    c = _sign(ha - a - wa, hb - b - wb, d)
+                    if c > 0 or not c and (wa or wb):
+                        landings.append((_make(a, b, d, n), "".join(word)))
+                        break
+            else:
+                raise CapExceeded(capped % cap, cap)
+        return landings
 
     # -- geometry --------------------------------------------------------
 
@@ -148,15 +245,8 @@ class Iet:
     def translation(self, letter: str) -> FieldValue:
         return self._translations[self.alphabet.index(letter)]
 
-    def _slot(self, cuts: tuple, x: FieldValue) -> int:
-        """Index of the interval between consecutive cuts that holds x."""
-        i = bisect_right(cuts, x)
-        if not 0 < i < len(cuts):
-            raise DomainError("point %s outside domain [%s, %s)" % (x, *self.domain()))
-        return i - 1
-
     def letter_at(self, x: FieldValue) -> str:
-        return self.alphabet.letters[self._slot(self._values, x)]
+        return self.alphabet.letters[self._locate(self._cuts, x)]
 
     # -- the map ---------------------------------------------------------
 
@@ -164,7 +254,7 @@ class Iet:
         return x + self.translation(self.letter_at(x))
 
     def apply_inverse(self, y: FieldValue) -> FieldValue:
-        return y - self.translation(self.perm.images[self._slot(self._image_values, y)])
+        return y - self.translation(self.perm.images[self._locate(self._image_cuts, y)])
 
     def apply_n(self, x: FieldValue, n: int) -> FieldValue:
         step = self.apply if n >= 0 else self.apply_inverse

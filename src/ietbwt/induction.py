@@ -8,22 +8,21 @@ partition of the sub-domain, and the substitution against their
 itineraries.  A left step reads the alphabet and the row as reversed
 tuples, the combinatorics of the mirrored map x -> -x, and lays its
 pieces out in the map's own coordinates, so one construction builds and
-checks all six step kinds without building a mirrored map.  One walker
-moves a step's pieces, and the points of a first return, on integer pairs
-in the map's frame (see `iet`).
+checks all six step kinds without building a mirrored map.  The map's
+own walker moves a step's pieces, and the points of a first return, on
+its integer frame (see `iet`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 from typing import Optional
 
 from .alphabet import Perm
 from .coding import LetterMorphism, cylinder
 from .errors import CapExceeded, DomainError, check
-from .exact import FieldValue, ZERO, _make, _sign, compare
-from .iet import Iet, Interval, _bisect, _pair
+from .exact import FieldValue, ZERO, compare
+from .iet import Iet, Interval
 
 _WALK_CAP = 16  # iterates a step's declared piece may take to land back
 _ORBIT_CAP = 10 ** 6  # iterates of a brute-force orbit walk
@@ -77,51 +76,6 @@ class StepRecord:
         return out
 
 
-def _walk(t: Iet, lo, hi, pieces, cap: int, capped: str) -> list:
-    """Move each (start, width) piece by t, at least once, until it lies in
-    [lo, hi), checking at every iterate that it moves rigidly, inside one
-    letter interval; a point is a piece of width zero.  Returns each
-    piece's landing and itinerary; a walk longer than cap raises
-    CapExceeded with the capped message.
-
-    The walks run on integer pairs in t's frame, widened by the lcm of the
-    inputs' denominators; a rational map adopts an input's radicand."""
-    d, n = t._frame
-    for v in (lo, hi, *(v for piece in pieces for v in piece)):
-        if v.d and v.d != d:
-            if d:
-                raise DomainError("incompatible radicands %d and %d" % (d, v.d))
-            d = v.d
-        n = n if n % v.n == 0 else lcm(n, v.n)
-    s = n // t._frame[1]
-    cuts, taus = t._cuts, t._tau
-    if s != 1:
-        cuts, taus = ([(a * s, b * s) for a, b in pairs] for pairs in (cuts, taus))
-    (la, lb), (ha, hb) = _pair(lo, n), _pair(hi, n)
-    landings = []
-    for start, width in pieces:
-        (a, b), (wa, wb) = _pair(start, n), _pair(width, n)
-        word = []
-        for _ in range(cap):
-            i = _bisect(cuts, a, b, d) - 1
-            if not 0 <= i < len(taus):
-                raise DomainError(
-                    "point %s outside domain [%s, %s)" % (_make(a, b, d, n), *t.domain())
-                )
-            ea, eb = cuts[i + 1]
-            check(_sign(ea - a - wa, eb - b - wb, d) >= 0, "piece does not move rigidly")
-            word.append(t.alphabet.letters[i])
-            a, b = a + taus[i][0], b + taus[i][1]
-            if _sign(a - la, b - lb, d) >= 0:
-                c = _sign(ha - a - wa, hb - b - wb, d)
-                if c > 0 or not c and (wa or wb):
-                    landings.append((_make(a, b, d, n), "".join(word)))
-                    break
-        else:
-            raise CapExceeded(capped % cap, cap)
-    return landings
-
-
 def _induced_from_partition(t: Iet, lo, hi, order, row, pieces):
     """First-return map of t on [lo, hi), built from the declared order and
     Rauzy row and one (letter, left, width) piece per letter, then checked:
@@ -132,7 +86,7 @@ def _induced_from_partition(t: Iet, lo, hi, order, row, pieces):
     tiled = t2.domain()[1] == hi and all(x == t2.left(c) for c, x, _ in pieces)
     check(tiled, "pieces do not tile the sub-domain")
     walks = [p[1:] for p in pieces]
-    landings = _walk(t, lo, hi, walks, _WALK_CAP, "first-return walk exceeded %d steps")
+    landings = t._walk(lo, hi, walks, _WALK_CAP, "first-return walk exceeded %d steps")
     itineraries = {}
     for (letter, _, _), (point, word) in zip(pieces, landings):
         check(point == t2.image_interval(letter)[0], "landings differ from the Rauzy row")
@@ -252,7 +206,7 @@ def first_return_point(t: Iet, x: FieldValue, lo, hi) -> ReturnVisit:
     if not (lo <= x < hi):
         raise DomainError("point %s outside window [%s, %s)" % (x, lo, hi))
     capped = "no return to the window within %d steps"
-    [(point, word)] = _walk(t, lo, hi, [(x, ZERO)], _ORBIT_CAP, capped)
+    [(point, word)] = t._walk(lo, hi, [(x, ZERO)], _ORBIT_CAP, capped)
     return ReturnVisit(point, len(word), word)
 
 

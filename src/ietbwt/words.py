@@ -45,7 +45,7 @@ def rotations(word: str) -> tuple[str, ...]:
 
 
 def runs_of(s: str) -> tuple[tuple[str, int], ...]:
-    return tuple((ch, sum(1 for _ in grp)) for ch, grp in groupby(s))
+    return tuple([(ch, sum(1 for _ in grp)) for ch, grp in groupby(s)])
 
 
 def _rotation_keys(words: Sequence[str], base: tuple[str, ...]) -> list[str]:

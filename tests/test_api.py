@@ -2,6 +2,7 @@
 wraps named functions and methods from outside, so a deleted name breaks
 only traced benchmark runs unless these tests catch it."""
 
+import ast
 import os
 
 import ietbwt
@@ -49,3 +50,23 @@ def test_tracer_sees_every_induction_step(monkeypatch):
     assert len(chain.records) == 5
     assert traced.calls["induction.split"] == 2
     assert traced.calls["induction.right_step"] + traced.calls["induction.left_step"] == 3
+
+
+def test_only_iet_reads_the_integer_frame():
+    """The frame's pairs and their helpers have one owner: no other module
+    imports an underscore name from .exact or .iet, or reads a frame
+    attribute."""
+    frame = {"_frame", "_cuts", "_image_cuts", "_tau", "_rank"}
+    package = os.path.dirname(ietbwt.__file__)
+    found = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py") or name == "iet.py":
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level and node.module in ("exact", "iet"):
+                found += [(name, a.name) for a in node.names if a.name.startswith("_")]
+            elif isinstance(node, ast.Attribute) and node.attr in frame:
+                found.append((name, node.attr))
+    assert found == []

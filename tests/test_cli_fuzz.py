@@ -52,7 +52,12 @@ JSON_TEXTS = [
     json.dumps(dict(_GOOD, permutation=5)),
     json.dumps(dict(_GOOD, permutation="aa")),
     json.dumps(dict(_GOOD, origin={"p": 1, "d": -3})),
+    json.dumps(dict(_GOOD, lengths={"a": {"p": True}, "b": "1"})),
+    json.dumps(dict(_GOOD, lengths={"a": {"p": "0.5"}, "b": "1/2"})),
+    json.dumps(dict(_GOOD, origin={"p": 0, "q": "1e1", "d": 5})),
+    json.dumps(dict(_GOOD, origin={"p": 0, "q": 1, "d": True})),
 ]
+BAD_VALUE_OBJECTS = JSON_TEXTS[-4:]
 
 IET_OPTIONS = {
     "--iet": None,  # filled with paths per test
@@ -166,3 +171,13 @@ def test_random_argument_lists_exit_cleanly(capsys, monkeypatch, json_paths):
         codes[code] = codes.get(code, 0) + 1
     # The pools reach success, domain errors and usage errors alike.
     assert codes.get(0, 0) > 50 and codes.get(1, 0) > 50 and codes.get(64, 0) > 50
+
+
+@pytest.mark.parametrize("text", BAD_VALUE_OBJECTS)
+def test_bad_value_objects_exit_1(tmp_path, capsys, text):
+    """A bool, a decimal or an exponent inside a value object is refused."""
+    path = tmp_path / "map.json"
+    path.write_text(text)
+    assert main(["info", "--iet", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "refusing" in err

@@ -512,6 +512,19 @@ class TestParsing:
         with pytest.raises(DomainError):
             value_from_json(3.5)
 
+    @pytest.mark.parametrize("obj", [
+        {"p": True}, {"p": 1, "q": False, "d": 5}, {"p": 1, "q": 1, "d": True},
+        {"p": "0.5"}, {"p": "1", "q": "1e1", "d": 5}, {"p": "1/2.5"}, {"p": ""},
+        {"p": "1/3 "}, {"p": "sqrt(5)"},
+    ])
+    def test_json_object_refuses_bools_and_non_ratio_strings(self, obj):
+        with pytest.raises(DomainError, match="refusing"):
+            value_from_json(obj)
+
+    def test_json_object_keeps_integer_ratio_strings(self):
+        want = make_quadratic(-3, Fraction(1, 2), 5)
+        assert value_from_json({"p": "-3", "q": "+1/2", "d": "5"}) == want
+
 
 class TestRendering:
     def test_decimal_rational(self):

@@ -3,6 +3,7 @@
 import random
 import re
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -231,6 +232,29 @@ class TestGeometryOracle:
             assert t.apply_inverse(x) == apply_inverse(x), x
             assert t.apply(t.apply_inverse(x)) == x == t.apply_inverse(t.apply(x))
         assert inside >= 40
+
+    @pytest.mark.parametrize("name", ["rational", "blocks"])
+    def test_irrational_points_on_a_rational_map(self, name):
+        """The map adopts a point's radicand: frac(k*sqrt(2)) steps across
+        the domain, over denominators the map does not have."""
+        t = self.EXCHANGES[name]()
+        _, _, letter_at, apply, apply_inverse = _scan_oracle(t)
+        lo, hi = t.domain()
+        probes = [lo + (hi - lo) * make_quadratic(-1, 1, 2)]
+        for k in range(1, 25):
+            frac = make_quadratic(-isqrt(2 * k * k), k, 2)
+            probes += [lo + (hi - lo) * frac, lo + (hi - lo) * frac / (k + 10)]
+        for x in probes:
+            assert t.letter_at(x) == letter_at(x), x
+            assert t.apply(x) == apply(x), x
+            assert t.apply_inverse(x) == apply_inverse(x), x
+
+    def test_a_second_radicand_is_refused(self):
+        t = self.EXCHANGES["sqrt5 origin"]()
+        x = make_quadratic(0, 1, 3)  # 1.73..., inside [sqrt(5) - 2/3, sqrt(5) + 1/3)
+        for method in (t.letter_at, t.apply, t.apply_inverse):
+            with pytest.raises(DomainError, match="incompatible radicands 5 and 3"):
+                method(x)
 
     def test_first_return_reads_each_letter_once(self):
         """The walk's itinerary is the coding of x up to its return time,
