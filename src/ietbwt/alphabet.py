@@ -32,11 +32,12 @@ class Alphabet:
         for x in seq:
             if not isinstance(x, str) or len(x) != 1:
                 raise DomainError("letters must be single characters, got %r" % (x,))
-        if len(set(seq)) != len(seq):
+        index = dict(zip(seq, range(len(seq))))
+        if len(index) != len(seq):
             raise DomainError("duplicate letters in %r" % ("".join(seq),))
         self = object.__new__(cls)
         object.__setattr__(self, "letters", seq)
-        object.__setattr__(self, "_index", {x: i for i, x in enumerate(seq)})
+        object.__setattr__(self, "_index", index)
         return self
 
     def __setattr__(self, name, value):
@@ -97,14 +98,12 @@ class Perm:
     letters: tuple[str, ...]
     images: tuple[str, ...]
 
-    def __post_init__(self):
-        letters = tuple(self.letters)
-        images = tuple(self.images)
+    def __init__(self, letters: Iterable[str], images: Iterable[str]):  # kept by @dataclass
+        letters = tuple(letters)
+        images = tuple(images)
         if sorted(letters) != sorted(images) or len(set(letters)) != len(letters):
-            raise DomainError(
-                "row %r is not a permutation of %r"
-                % ("".join(images), "".join(letters))
-            )
+            row, base = "".join(images), "".join(letters)
+            raise DomainError("row %r is not a permutation of %r" % (row, base))
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "images", images)
 
@@ -140,17 +139,6 @@ class Perm:
 
     def is_symmetric(self) -> bool:
         return self.images == self.letters[::-1]
-
-    def restrict(self, subset: Iterable[str]) -> "Perm":
-        """Sub-permutation on positions of subset letters, orders preserved.
-
-        Valid when the row entries at those positions are again the subset."""
-        keep = set(subset)
-        sub_letters = tuple(x for x in self.letters if x in keep)
-        sub_images = tuple(y for y in self.images if y in keep)
-        if len(sub_letters) != len(keep):
-            raise DomainError("subset %r not within base" % ("".join(sorted(keep)),))
-        return Perm(sub_letters, sub_images)
 
     @classmethod
     def from_json(cls, letters: LettersLike, obj) -> "Perm":

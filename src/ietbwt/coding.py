@@ -180,18 +180,19 @@ class LetterMorphism:
     def __init__(self, source: LettersLike, target: LettersLike, rules: dict):
         self.source = Alphabet(source)
         self.target = Alphabet(target)
-        if set(rules) != set(self.source):
+        if set(rules) != set(self.source.letters):
             raise DomainError("rules must cover the source alphabet exactly")
+        allowed = frozenset(self.target.letters)
         for x, image in rules.items():
             if not image:
                 raise DomainError("empty image for %r" % x)
             for ch in image:
-                if ch not in self.target:
+                if ch not in allowed:
                     raise DomainError(
                         "image letter %r of %r not in target %s"
                         % (ch, x, self.target)
                     )
-        self.rules = {x: rules[x] for x in self.source}
+        self.rules = {x: rules[x] for x in self.source.letters}
 
     def __call__(self, word: str) -> str:
         try:

@@ -55,13 +55,13 @@ def _squarefree_part(d: int) -> tuple[int, int]:
 def _sign(a: int, b: int, d: int) -> int:
     """Exact sign of a + b*sqrt(d) for integers a, b and square-free d:
     a*a is compared with b*b*d only when a and b have opposite signs."""
-    sa = (a > 0) - (a < 0)
-    sb = (b > 0) - (b < 0)
-    if sa == sb or not sb:
-        return sa
-    if not sa:
-        return sb
-    return sa if a * a > b * b * d else sb
+    if b >= 0:
+        if a >= 0:
+            return 1 if a or b else 0
+        return 1 if b * b * d > a * a else -1
+    if a <= 0:
+        return -1
+    return 1 if a * a > b * b * d else -1
 
 
 def _integers(a, b, n) -> tuple[int, int, int]:
@@ -151,8 +151,8 @@ class FieldValue:
     def _coerce(self, other) -> "FieldValue":
         if isinstance(other, FieldValue):
             return other
-        if isinstance(other, (int, Fraction)):
-            return FieldValue(other)
+        if isinstance(other, (int, Fraction)):  # already in lowest terms
+            return _make(other.numerator, 0, 0, other.denominator)
         return NotImplemented
 
     def _join_radicand(self, other: "FieldValue") -> int:
@@ -351,30 +351,33 @@ _TERM = re.compile(r"([+-]?)(?:(\d+(?:/\d+)?)(?:\*(?=sqrt))?)?(?:sqrt\((\d+)\))?
 
 
 def parse_value(text: str) -> FieldValue:
-    """Parse 'p/q' or 'p/q + r/s*sqrt(D)'.  Decimals are rejected."""
+    """Parse 'p/q' or 'p/q + r/s*sqrt(D)', summing terms as integers.  Decimals are rejected."""
     s = text.replace(" ", "")
     if not s:
         raise DomainError("empty value")
     terms = re.findall(r"[+-]?[^+-]+", s)
     if "".join(terms) != s:
         raise DomainError("cannot parse value %r" % text)
-    total = ZERO
+    p, m, q, n, d = 0, 1, 0, 1, 0
     for term in terms:
-        m = _TERM.match(term)
-        if not m or (m.group(2) is None and m.group(3) is None):
+        match = _TERM.match(term)
+        if not match or (match.group(2) is None and match.group(3) is None):
             raise DomainError("cannot parse term %r in %r" % (term, text))
-        try:
-            coef = Fraction(m.group(2)) if m.group(2) is not None else Fraction(1)
-        except ZeroDivisionError:
-            raise DomainError("zero denominator in %r" % text) from None
-        if m.group(1) == "-":
-            coef = -coef
-        if m.group(3) is None:
-            part = FieldValue(coef)
+        sign, coef, radicand = match.groups()
+        num, _, den = (coef or "1").partition("/")
+        num, den, r = int(sign + num), int(den or 1), int(radicand or 1)
+        if not den:
+            raise DomainError("zero denominator in %r" % text)
+        root, r = _squarefree_part(r) if num and r > 1 else (1, r)
+        if not num or not r:  # a zero term, or sqrt(0)
+            continue
+        if r == 1:
+            p, m = p * den + num * root * m, m * den
+        elif q and r != d:  # a radical part that cancelled leaves no radicand
+            raise DomainError("incompatible radicands %d and %d" % (d, r))
         else:
-            part = make_quadratic(0, coef, int(m.group(3)))
-        total = total + part
-    return total
+            q, n, d = q * den + num * root * n, n * den, r
+    return _make(p * n, q * m, d, m * n)
 
 
 _RATIO = re.compile(r"[+-]?\d+(?:/\d+)?")

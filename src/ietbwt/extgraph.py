@@ -30,35 +30,38 @@ class ExtensionGraph:
         out.extend(("R", b) for b in self.right)
         return tuple(out)
 
-    def components(self) -> tuple:
-        parent = {v: v for v in self.vertices()}
+    def _union(self) -> tuple:
+        """One union-find: the root finder, forest, connected.  An edge that
+        merges two components leaves one fewer; any other closes a cycle."""
+        parent: dict = {}
 
         def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
+            while v in parent:
                 v = parent[v]
             return v
 
+        merges = 0
         for a, b in self.edges:
             ra, rb = find(("L", a)), find(("R", b))
             if ra != rb:
                 parent[ra] = rb
-        groups: dict = {}
-        for v in parent:
+                merges += 1
+        return find, merges == len(self.edges), len(self.left) + len(self.right) - merges <= 1
+
+    def components(self) -> tuple:
+        find, groups = self._union()[0], {}
+        for v in self.vertices():
             groups.setdefault(find(v), []).append(v)
-        comps = [frozenset(vs) for vs in groups.values()]
-        comps.sort(key=lambda c: min(c))
-        return tuple(comps)
+        return tuple(sorted((frozenset(vs) for vs in groups.values()), key=min))
 
     def is_forest(self) -> bool:
-        # acyclic iff every component has one more vertex than it has edges
-        return len(self.vertices()) == len(self.edges) + len(self.components())
+        return self._union()[1]
 
     def is_connected(self) -> bool:
-        return len(self.components()) <= 1
+        return self._union()[2]
 
     def is_tree(self) -> bool:
-        return self.is_forest() and self.is_connected()
+        return all(self._union()[1:])
 
     def to_json(self) -> dict:
         return {
@@ -169,10 +172,11 @@ def classify_language(
         for w in lang.words_of_length(n):
             g = extension_graph(lang, w)
             checked += 1
-            if first_non_tree is None and not g.is_tree():
+            _, forest, connected = g._union()
+            if first_non_tree is None and not (forest and connected):
                 first_non_tree = w
             if g.is_bispecial():
-                if first_non_forest is None and not g.is_forest():
+                if first_non_forest is None and not forest:
                     first_non_forest = w
                 if first_incompatible is None and not compatible(
                     g, left_order, right_order

@@ -5,13 +5,11 @@ letter, a permutation whose one-line row lists the image order left to
 right, and an origin.  All intervals are half-open [x, y).  The map is
 total on its domain: each point moves by the translation of its letter.
 
-Each exchange has one integer frame: the radicand d and the lcm n of the
-denominators of its origin and lengths.  Its cuts, image cuts and
-translations are stored once as integer pairs (A, B) meaning
-(A + B*sqrt(d))/n, so adding and comparing them is integer work; the
-FieldValues the geometry methods hand out are built once from those
-pairs.  Only this module reads the frame: cylinder levels, first-return
-walks, `letter_at` and `apply_inverse` all run on the pairs.
+Each exchange has one integer frame, read by this module alone: the
+radicand d and a denominator n (the inputs' lcm for the public constructor)
+of the pairs (A, B), (A + B*sqrt(d))/n, of its cuts, widths and slots.  A
+step's, split's or glue shift's map is a child on its parent's pairs, so a
+chain shares its root's frame; values are built on first use.
 """
 
 from __future__ import annotations
@@ -19,17 +17,20 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import lru_cache
 from itertools import accumulate, chain
 from math import lcm
 from typing import Iterable, Optional, Union
 
 from .alphabet import Alphabet, LettersLike, Perm
-from .errors import CapExceeded, DomainError, check
+from .errors import CapExceeded, DomainError, InvariantError, check
 from .exact import FieldValue, ZERO, _make, _sign, value_from_json
 from .words import lyndon_representative
 
 Interval = tuple[FieldValue, FieldValue]
+
+_WALK_CAP = 16  # iterates a step's declared piece may take to land back
+_VALUES = {"_values": "_cuts", "_image_values": "_image_cuts", "_translations": "_tau"}
 
 
 @dataclass(frozen=True)
@@ -59,25 +60,31 @@ def _pair(v: FieldValue, n: int) -> tuple[int, int]:
     return v.a * s, v.b * s
 
 
-def _tile(start: tuple[int, int], widths) -> tuple:
-    """Cuts from start, one width at a time: pairs over one denominator."""
-    return tuple(accumulate(widths, lambda p, w: (p[0] + w[0], p[1] + w[1]), initial=start))
-
-
 def _bisect(cuts: tuple, a: int, b: int, d: int) -> int:
-    """bisect_right of the pair (a, b) in ascending pairs over the same
-    denominator, decided by the exact sign of each difference."""
+    """bisect_right of the pair (a, b) in ascending pairs over one
+    denominator: the sign of each difference is decided inline as by _sign."""
     lo, hi = 0, len(cuts)
     while lo < hi:
         mid = (lo + hi) // 2
-        if _sign(a - cuts[mid][0], b - cuts[mid][1], d) < 0:
+        x, y = a - cuts[mid][0], b - cuts[mid][1]
+        if (x < 0 or y * y * d > x * x) if y < 0 else x < 0 and (not y or x * x > y * y * d):
             hi = mid
         else:
             lo = mid + 1
     return lo
 
 
+@lru_cache(maxsize=256)
+def _combinatorics(letters, row) -> tuple:
+    """A child's checked alphabet, permutation and slot letter indices."""
+    alphabet = Alphabet(letters)
+    perm = Perm(alphabet.letters, row)
+    return alphabet, perm, tuple(map(alphabet.letters.index, perm.images))
+
+
 class Iet:
+    _wide = None  # the last wider frame a point asked for (see _framed)
+
     def __init__(
         self,
         alphabet: LettersLike,
@@ -105,28 +112,50 @@ class Iet:
         for x, v in self.lengths.items():
             if v.sign() <= 0:
                 raise DomainError("length of %r must be positive, got %s" % (x, v))
-        # the frame, built once: every cut and translation is an integer
-        # pair (A, B) standing for (A + B*sqrt(d))/n
         d = radicands.pop() if radicands else 0
         n = lcm(self.origin.n, *(v.n for v in self.lengths.values()))
-        self._frame = (d, n)
-        widths = [_pair(v, n) for v in self.lengths.values()]
-        self._rank = tuple(map(self.alphabet.index, self.perm.images))  # each slot's letter
-        self._cuts = _tile(_pair(self.origin, n), widths)
-        self._image_cuts = _tile(self._cuts[0], [widths[i] for i in self._rank])
-        tau = [None] * len(widths)  # per letter: its slot's left end minus its own
-        for (ia, ib), i in zip(self._image_cuts, self._rank):
-            tau[i] = (ia - self._cuts[i][0], ib - self._cuts[i][1])
-        self._tau = tuple(tau)
-        # the values the geometry methods hand out; both tilings share their ends
-        self._values = (self.origin, *(_make(a, b, d, n) for a, b in self._cuts[1:]))
-        inner = (_make(a, b, d, n) for a, b in self._image_cuts[1:-1])
-        self._image_values = (self.origin, *inner, self._values[-1])
+        rank = tuple(map(self.alphabet.letters.index, perm.images))
+        self._build(d, n, rank, _pair(self.origin, n), [_pair(v, n) for v in self.lengths.values()])
 
-    @cached_property
-    def _translations(self) -> tuple[FieldValue, ...]:
-        """The translations as FieldValues, built on first use."""
-        return tuple(map(self._value, self._tau))
+    def _child(self, letters, row, origin: tuple, widths) -> "Iet":
+        """The map of the letters and row (tuples or strings) from an origin and
+        widths on this frame, each tested positive inline as by _sign."""
+        t = object.__new__(Iet)
+        t.alphabet, t.perm, rank = _combinatorics(letters, row)
+        d, n = self._frame
+        for x, (a, b) in zip(t.alphabet.letters, widths):
+            if not (a > 0 or b > 0) or a < 0 and b * b * d <= a * a or b < 0 and a * a <= b * b * d:
+                raise DomainError("length of %r must be positive, got %s" % (x, _make(a, b, d, n)))
+        t._build(d, n, rank, origin, widths)
+        return t
+
+    def _build(self, d: int, n: int, rank: tuple, origin: tuple, widths) -> None:
+        """Lay out cuts, image cuts and translations on the frame (d, n)."""
+        self._frame, self._rank, self._widths = (d, n), rank, tuple(widths)
+        (a, b), cuts = origin, [origin]
+        for wa, wb in self._widths:
+            a, b = a + wa, b + wb
+            cuts.append((a, b))
+        (a, b), image, tau = origin, [origin], [None] * len(rank)
+        for i in rank:  # a letter moves by its slot's left end minus its own
+            (ca, cb), (wa, wb) = cuts[i], self._widths[i]
+            tau[i] = (a - ca, b - cb)
+            a, b = a + wa, b + wb
+            image.append((a, b))
+        self._cuts, self._image_cuts, self._tau = tuple(cuts), tuple(image), tuple(tau)
+
+    def __getattr__(self, name: str):
+        """Values built from the pairs on first read, then kept (no lock)."""
+        if name == "origin":
+            value = self._value(self._cuts[0])
+        elif name == "lengths":
+            value = dict(zip(self.alphabet.letters, map(self._value, self._widths)))
+        elif name in _VALUES:
+            value = tuple(map(self._value, getattr(self, _VALUES[name])))
+        else:
+            raise AttributeError(name)
+        self.__dict__[name] = value
+        return value
 
     # -- the integer frame -----------------------------------------------
 
@@ -134,10 +163,9 @@ class Iet:
         """A frame pair as a FieldValue."""
         return _make(*pair, *self._frame)
 
-    def _widen(self, values, *pairs) -> tuple:
-        """(d, n, *pairs): the frame widened by the lcm of the values'
-        denominators, with each tuple of frame pairs rescaled to it.  A
-        rational map adopts a value's radicand; a second one is refused."""
+    def _framed(self, *values) -> tuple:
+        """(t, pairs): this map on the lcm frame holding the values too (the
+        last wider copy is kept) and the values as pairs; one radicand only."""
         d, n = self._frame
         for v in values:
             if v.d and v.d != d:
@@ -145,15 +173,44 @@ class Iet:
                     raise DomainError("incompatible radicands %d and %d" % (d, v.d))
                 d = v.d
             n = n if n % v.n == 0 else lcm(n, v.n)
-        s = n // self._frame[1]
-        if s != 1:
-            pairs = [[(a * s, b * s) for a, b in p] for p in pairs]
-        return (d, n, *pairs)
+        t = self if (d, n) == self._frame else self._wide
+        if t is None or t._frame != (d, n):
+            s = n // self._frame[1]
+            t = self._wide = object.__new__(Iet)
+            t.alphabet, t.perm, (a, b) = self.alphabet, self.perm, self._cuts[0]
+            t._build(d, n, self._rank, (a * s, b * s), [(p * s, q * s) for p, q in self._widths])
+        return t, [_pair(v, n) for v in values]
 
-    def _locate(self, cuts: tuple, x: FieldValue) -> int:
-        """Index of the interval between consecutive frame cuts that holds x."""
-        d, n, cuts = self._widen((x,), cuts)
-        i = _bisect(cuts, *_pair(x, n), d) - 1
+    def _span(self) -> tuple:
+        """The domain's ends as frame pairs."""
+        return self._cuts[0], self._cuts[-1]
+
+    def _pieces(self) -> dict:
+        """Each letter's left end and width as frame pairs."""
+        return dict(zip(self.alphabet.letters, zip(self._cuts, self._widths)))
+
+    def _cmp(self, p: tuple, q: tuple) -> int:
+        """The sign of p - q for frame pairs."""
+        return _sign(p[0] - q[0], p[1] - q[1], self._frame[0])
+
+    def _add(self, p: tuple, q: tuple, s: int = 1) -> tuple:
+        """p + s*q for frame pairs."""
+        return p[0] + s * q[0], p[1] + s * q[1]
+
+    def _window(self, right: bool) -> tuple:
+        """z_interval (right) or y_interval as frame pairs: the domain cut at
+        its last, or first, discontinuity of either kind."""
+        if len(self._cuts) < 3:
+            raise DomainError("a one-letter map has no induction window")
+        p, q = self._cuts[-2 if right else 1], self._image_cuts[-2 if right else 1]
+        cut = p if (self._cmp(p, q) >= 0) == right else q
+        return (self._cuts[0], cut) if right else (cut, self._cuts[-1])
+
+    def _locate(self, x: FieldValue, image: bool = False) -> int:
+        """Index of the interval between cuts, or image cuts, holding x."""
+        t, [(a, b)] = self._framed(x)
+        cuts = t._image_cuts if image else t._cuts
+        i = _bisect(cuts, a, b, t._frame[0]) - 1
         if not 0 <= i < len(cuts) - 1:
             raise DomainError("point %s outside domain [%s, %s)" % (x, *self.domain()))
         return i
@@ -195,41 +252,55 @@ class Iet:
             yield nxt
             level = nxt
 
-    def _walk(self, lo, hi, pieces, cap: int, capped: str) -> list:
-        """Move each (start, width) piece by the map, at least once, until it
-        lies in [lo, hi), checking at every iterate that it moves rigidly,
-        inside one letter interval; a point is a piece of width zero.  Returns
-        each piece's landing and itinerary, walked on frame pairs widened for
-        the inputs; a walk longer than cap raises CapExceeded(capped % cap)."""
-        d, n, cuts, taus = self._widen((lo, hi, *chain(*pieces)), self._cuts, self._tau)
-        (la, lb), (ha, hb) = _pair(lo, n), _pair(hi, n)
+    def _walk(self, lo: tuple, hi: tuple, pieces, cap: int, capped: str) -> list:
+        """Each (start, width) piece's (landing, itinerary): moved by the map,
+        at least once and at most cap times, until it lies in [lo, hi), and
+        checked to move rigidly at every iterate.  A point has width zero."""
+        d = self._frame[0]
+        cuts, taus, letters = self._cuts, self._tau, self.alphabet.letters
+        (la, lb), (ha, hb), k = lo, hi, len(taus)
         landings = []
-        for start, width in pieces:
-            (a, b), (wa, wb) = _pair(start, n), _pair(width, n)
+        for (a, b), (wa, wb) in pieces:
             word = []
             for _ in range(cap):
                 i = _bisect(cuts, a, b, d) - 1
-                if not 0 <= i < len(taus):
+                if not 0 <= i < k:
                     raise DomainError(
-                        "point %s outside domain [%s, %s)" % (_make(a, b, d, n), *self.domain())
+                        "point %s outside domain [%s, %s)" % (self._value((a, b)), *self.domain())
                     )
                 ea, eb = cuts[i + 1]
-                check(_sign(ea - a - wa, eb - b - wb, d) >= 0, "piece does not move rigidly")
-                word.append(self.alphabet.letters[i])
-                a, b = a + taus[i][0], b + taus[i][1]
+                if (wa or wb) and _sign(ea - a - wa, eb - b - wb, d) < 0:  # a point fits
+                    raise InvariantError("piece does not move rigidly")
+                word.append(letters[i])
+                ta, tb = taus[i]
+                a, b = a + ta, b + tb
                 if _sign(a - la, b - lb, d) >= 0:
                     c = _sign(ha - a - wa, hb - b - wb, d)
                     if c > 0 or not c and (wa or wb):
-                        landings.append((_make(a, b, d, n), "".join(word)))
+                        landings.append(((a, b), "".join(word)))
                         break
             else:
                 raise CapExceeded(capped % cap, cap)
         return landings
 
+    def _induced(self, lo: tuple, hi: tuple, order, row, pieces) -> tuple:
+        """First-return map on [lo, hi) from the declared order and row and
+        one (start, width) piece of pairs per letter of the order, checked: it
+        ends at hi, each piece starts at its letter's left end, moves rigidly
+        and lands on its letter's image slot.  Returns it and the itineraries."""
+        t2 = self._child(order, row, lo, [w for _, w in pieces])
+        tiled = t2._cuts[-1] == hi and [s for s, _ in pieces] == list(t2._cuts[:-1])
+        check(tiled, "pieces do not tile the sub-domain")
+        landings = self._walk(lo, hi, pieces, _WALK_CAP, "first-return walk exceeded %d steps")
+        slots = dict(zip(t2._rank, t2._image_cuts))  # letter index -> its slot's left end
+        landed = [point for point, _ in landings] == [slots[i] for i in range(len(slots))]
+        check(landed, "landings differ from the Rauzy row")
+        return t2, dict(zip(t2.alphabet.letters, [word for _, word in landings]))
+
     # -- geometry --------------------------------------------------------
 
     def domain(self) -> Interval:
-        return self._values[0], self._values[-1]
+        return self.origin, self._value(self._cuts[-1])
 
     def interval(self, letter: str) -> Interval:
         i = self.alphabet.index(letter)
@@ -239,14 +310,11 @@ class Iet:
         j = self._rank.index(self.alphabet.index(letter))
         return self._image_values[j : j + 2]
 
-    def left(self, letter: str) -> FieldValue:
-        return self._values[self.alphabet.index(letter)]
-
     def translation(self, letter: str) -> FieldValue:
         return self._translations[self.alphabet.index(letter)]
 
     def letter_at(self, x: FieldValue) -> str:
-        return self.alphabet.letters[self._locate(self._cuts, x)]
+        return self.alphabet.letters[self._locate(x)]
 
     # -- the map ---------------------------------------------------------
 
@@ -254,7 +322,7 @@ class Iet:
         return x + self.translation(self.letter_at(x))
 
     def apply_inverse(self, y: FieldValue) -> FieldValue:
-        return y - self.translation(self.perm.images[self._locate(self._image_cuts, y)])
+        return y - self.translation(self.perm.images[self._locate(y, image=True)])
 
     def apply_n(self, x: FieldValue, n: int) -> FieldValue:
         step = self.apply if n >= 0 else self.apply_inverse
@@ -282,21 +350,21 @@ class Iet:
         return tuple((cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1))
 
     def invariant_blocks(self) -> tuple[tuple[str, ...], ...]:
-        """Proper contiguous letter runs mapped onto their own interval.
+        """Proper contiguous letter runs mapped onto their own interval."""
+        return tuple(self._block_spans())
 
-        A run is invariant when the row entries at its positions are the
-        same letters and the run's interval starts where its image does."""
-        base = self.alphabet.letters
-        row = self.perm.images
+    def _block_spans(self) -> dict:
+        """Each invariant block, a run whose row entries are its own letters,
+        with its span as pairs; it starts and ends at cuts both tilings share."""
+        base, rank, cuts = self.alphabet.letters, self._rank, self._cuts
         k = len(base)
-        out = []
-        for i in range(k):
-            if self._cuts[i] != self._image_cuts[i]:
-                continue
-            for j in range(i, k):
-                if (i, j) != (0, k - 1) and set(base[i : j + 1]) == set(row[i : j + 1]):
-                    out.append(base[i : j + 1])
-        return tuple(out)
+        common = [i for i in range(k + 1) if cuts[i] == self._image_cuts[i]]
+        out = {}
+        for m, i in enumerate(common):
+            for j in common[m + 1 :]:
+                if (i, j) != (0, k) and sorted(rank[i:j]) == list(range(i, j)):
+                    out[base[i:j]] = (cuts[i], cuts[j])
+        return out
 
     def block_interval(self, block: Iterable[str]) -> Interval:
         letters = self.alphabet.ordered(block)
@@ -305,7 +373,7 @@ class Iet:
         i = self.alphabet.index(letters[0])
         if tuple(self.alphabet.letters[i : i + len(letters)]) != letters:
             raise DomainError("block %r is not contiguous" % ("".join(letters),))
-        return (self.left(letters[0]), self.interval(letters[-1])[1])
+        return (self.interval(letters[0])[0], self.interval(letters[-1])[1])
 
     # -- connections -----------------------------------------------------
 

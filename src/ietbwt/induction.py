@@ -8,9 +8,10 @@ partition of the sub-domain, and the substitution against their
 itineraries.  A left step reads the alphabet and the row as reversed
 tuples, the combinatorics of the mirrored map x -> -x, and lays its
 pieces out in the map's own coordinates, so one construction builds and
-checks all six step kinds without building a mirrored map.  The map's
-own walker moves a step's pieces, and the points of a first return, on
-its integer frame (see `iet`).
+checks all six step kinds without building a mirrored map.  A chain lives
+on its root's integer frame (see `iet`): lengths, windows, pieces, block
+spans and target tests are `Iet` methods on its pairs; this module keeps
+the kinds, orders, rows and substitutions.
 """
 
 from __future__ import annotations
@@ -18,33 +19,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .alphabet import Perm
 from .coding import LetterMorphism, cylinder
 from .errors import CapExceeded, DomainError, check
-from .exact import FieldValue, ZERO, compare
+from .exact import FieldValue, ZERO
 from .iet import Iet, Interval
 
-_WALK_CAP = 16  # iterates a step's declared piece may take to land back
 _ORBIT_CAP = 10 ** 6  # iterates of a brute-force orbit walk
 
 
-def _window_cuts(t: Iet, i: int) -> tuple[FieldValue, FieldValue]:
-    """Discontinuity i of each kind; both lists ascend."""
-    pts, inverse = t.discontinuities(), t.discontinuities_inverse()
-    if not pts:
-        raise DomainError("a one-letter map has no induction window")
-    return pts[i], inverse[i]
-
-
 def z_interval(t: Iet) -> Interval:
-    """Domain truncated at the rightmost discontinuity of either kind; the
-    sub-domain reached by one right step."""
-    return (t.domain()[0], max(_window_cuts(t, -1)))
+    """Domain cut at the rightmost discontinuity of either kind: a right step's."""
+    return tuple(map(t._value, t._window(True)))
 
 
 def y_interval(t: Iet) -> Interval:
     """Domain truncated at the leftmost discontinuity of either kind."""
-    return (min(_window_cuts(t, 0)), t.domain()[1])
+    return tuple(map(t._value, t._window(False)))
 
 
 @dataclass
@@ -77,21 +67,11 @@ class StepRecord:
 
 
 def _induced_from_partition(t: Iet, lo, hi, order, row, pieces):
-    """First-return map of t on [lo, hi), built from the declared order and
-    Rauzy row and one (letter, left, width) piece per letter, then checked:
-    it ends at hi, each piece starts at its letter's left end, moves
-    rigidly (inside one letter interval of t) at every iterate of its walk,
-    and lands exactly on its letter's image slot."""
-    t2 = Iet(order, {x: width for x, _, width in pieces}, Perm(order, row), origin=lo)
-    tiled = t2.domain()[1] == hi and all(x == t2.left(c) for c, x, _ in pieces)
-    check(tiled, "pieces do not tile the sub-domain")
-    walks = [p[1:] for p in pieces]
-    landings = t._walk(lo, hi, walks, _WALK_CAP, "first-return walk exceeded %d steps")
-    itineraries = {}
-    for (letter, _, _), (point, word) in zip(pieces, landings):
-        check(point == t2.image_interval(letter)[0], "landings differ from the Rauzy row")
-        itineraries[letter] = word
-    return t2, itineraries
+    """`Iet._induced` from (letter, left, width) FieldValue pieces in the
+    order's order, on t's frame widened to hold them."""
+    check([x for x, _, _ in pieces] == list(order), "pieces do not tile the sub-domain")
+    t, (lo, hi, *ends) = t._framed(lo, hi, *(v for _, *vs in pieces for v in vs))
+    return t._induced(lo, hi, order, row, list(zip(ends[::2], ends[1::2])))
 
 
 def _step(t: Iet, side: str) -> StepRecord:
@@ -99,10 +79,10 @@ def _step(t: Iet, side: str) -> StepRecord:
     the alphabet and the row reversed, the combinatorics of the mirrored
     map x -> -x, so the kind, the new order, the Rauzy row and the
     substitution come from the same code on both sides; mirroring keeps
-    time direction, so codings carry over.  The pieces are laid out in t's
-    own coordinates and walked on t; the induced map is built from the
-    order and row read back in t's orientation, and the walks check it
-    and the substitution."""
+    time direction, so codings carry over.  The pieces are laid out on t's
+    pairs in t's own coordinates and walked on t; the induced map is built
+    from the order and row read back in t's orientation, and the walks
+    check it and the substitution."""
     right = side == "right"
     letters, row = t.alphabet.letters, t.perm.images
     if len(letters) < 2:
@@ -114,26 +94,25 @@ def _step(t: Iet, side: str) -> StepRecord:
         raise DomainError(
             "%s step blocked: %s slot holds its own letter" % (side, "last" if right else "first")
         )
-    lo, hi = t.domain()
-    lk, lb = t.lengths[last], t.lengths[pk]
-    c = compare(lk, lb)
+    spans = t._pieces()
+    (lo, hi), (ak, lk), (ab, lb) = t._span(), spans[last], spans[pk]
+    c = t._cmp(lk, lb)
     if c > 0:
         kind, cut = "top", lb
         new_order = letters
         i = row.index(last) + 1
         expected_row = row[:i] + (pk,) + row[i:-1]
-        a = t.left(last)
-        moved = {last: (a if right else a + lb, lk - lb)}
+        moved = {last: (ak if right else t._add(ak, lb), t._add(lk, lb, -1))}
     elif c < 0:
         kind, cut = "bottom", lk
         i = letters.index(pk) + 1
         new_order = letters[:i] + (last,) + letters[i:-1]
         expected_row = row
-        a = t.left(pk)
+        rest = t._add(lb, lk, -1)
         if right:
-            moved = {pk: (a, lb - lk), last: (a + (lb - lk), lk)}
+            moved = {pk: (ab, rest), last: (t._add(ab, rest), lk)}
         else:
-            moved = {last: (a, lk), pk: (a + lk, lb - lk)}
+            moved = {last: (ab, lk), pk: (t._add(ab, lk), rest)}
     else:
         kind, cut = "merge", lk
         new_order = letters[:-1]
@@ -142,13 +121,14 @@ def _step(t: Iet, side: str) -> StepRecord:
     rules = {x: x for x in new_order}  # top, merge: pk -> pk last; bottom: last -> pk last
     rules[last if c < 0 else pk] = pk + last
     if right:
-        window, name, expected = (lo, hi - cut), "z_interval", z_interval(t)
+        window, name = (lo, t._add(hi, cut, -1)), "z_interval"
     else:
-        window, name, expected = (lo + cut, hi), "y_interval", y_interval(t)
+        window, name = (t._add(lo, cut), hi), "y_interval"
         new_order, expected_row = new_order[::-1], expected_row[::-1]
-    check(window == expected, "step window differs from " + name)
-    pieces = [(x, *moved.get(x, (t.left(x), t.lengths[x]))) for x in new_order]
-    t2, itineraries = _induced_from_partition(t, *window, new_order, expected_row, pieces)
+    check(window == t._window(right), "step window differs from " + name)
+    spans.update(moved)
+    pieces = [spans[x] for x in new_order]
+    t2, itineraries = t._induced(*window, new_order, expected_row, pieces)
     morphism = LetterMorphism(t2.alphabet, t.alphabet, itineraries)
     check(morphism.rules == rules, "itineraries differ from the substitution")
     return StepRecord(side + "_" + kind, t, t2, morphism)
@@ -174,19 +154,20 @@ def split(t: Iet, block, branch: str) -> StepRecord:
     if branch not in ("block", "complement"):
         raise DomainError("unknown split branch %r" % (branch,))
     letters = t.alphabet.ordered(block)
-    if letters not in t.invariant_blocks():
+    spans = t._block_spans()
+    if letters not in spans:
         raise DomainError("%r is not an invariant block" % ("".join(letters),))
-    blo, bhi = t.block_interval(letters)
-    lo, hi = t.domain()
+    (blo, bhi), (lo, hi) = spans[letters], t._span()
     glue = None
     if branch == "block":
         kept, origin = letters, blo
     else:
         kept = tuple(x for x in t.alphabet if x not in set(letters))
         origin = bhi if blo == lo else lo
-        if lo < blo and bhi < hi:
-            glue = (blo, bhi - blo)
-    t2 = Iet(kept, {x: t.lengths[x] for x in kept}, t.perm.restrict(kept), origin=origin)
+        if blo != lo and bhi != hi:
+            glue = (t._value(blo), t._value(t._add(bhi, blo, -1)))
+    pieces, row = t._pieces(), tuple(y for y in t.perm.images if y in kept)
+    t2 = t._child(kept, row, origin, [pieces[x][1] for x in kept])
     inclusion = LetterMorphism(kept, t.alphabet, {x: x for x in kept})
     return StepRecord("split", t, t2, inclusion, block=letters, branch=branch, glue=glue)
 
@@ -206,8 +187,9 @@ def first_return_point(t: Iet, x: FieldValue, lo, hi) -> ReturnVisit:
     if not (lo <= x < hi):
         raise DomainError("point %s outside window [%s, %s)" % (x, lo, hi))
     capped = "no return to the window within %d steps"
-    [(point, word)] = t._walk(lo, hi, [(x, ZERO)], _ORBIT_CAP, capped)
-    return ReturnVisit(point, len(word), word)
+    t, (x, lo, hi, zero) = t._framed(x, lo, hi, ZERO)
+    [(point, word)] = t._walk(lo, hi, [(x, zero)], _ORBIT_CAP, capped)
+    return ReturnVisit(t._value(point), len(word), word)
 
 
 # -- induction onto a cylinder ------------------------------------------
@@ -235,53 +217,56 @@ class InductionChain:
         }
 
 
-def _disjoint(a: Interval, b: Interval) -> bool:
-    return a[1] <= b[0] or b[1] <= a[0]
-
-
 def induce_to_cylinder(t: Iet, word: str, max_steps: int = 200) -> InductionChain:
     """Drive one-sided steps and splits until the domain is exactly the
     cylinder of the word.  The final map is returned in the original
     coordinates, so its domain is literally the cylinder, and the composed
-    morphism carries its coding words back to codings of the input."""
+    morphism carries its coding words back to codings of the input.  The
+    target, windows and block spans are compared as pairs of t's frame."""
     if max_steps < 0:
         raise DomainError("step cap must be non-negative, got %d" % max_steps)
     for ch in word:
         t.alphabet.index(ch)
-    tlo, thi = target = cylinder(t, word)
-    cur, records, back_shift = t, [], ZERO
-    while cur.domain() != (tlo, thi):
+    target = cylinder(t, word)
+    _, (tlo, thi) = t._framed(*target)
+    origin = tlo  # a glue shift moves the target left; the final map moves back
+    cur, records = t, []
+    while cur._span() != (tlo, thi):
         if len(records) >= max_steps:
             raise CapExceeded(
                 "induction did not reach the cylinder within %d steps" % max_steps,
                 max_steps,
             )
-        spans = {b: cur.block_interval(b) for b in cur.invariant_blocks()}
+        spans = cur._block_spans()
         exact = next((b for b, span in spans.items() if span == (tlo, thi)), None)
         if exact is not None:
             rec = split(cur, exact, "block")
         else:
-            if thi <= z_interval(cur)[1]:
+            if cur._cmp(thi, cur._window(True)[1]) <= 0:
                 side, ext = "right", cur.alphabet.letters[-1]
             else:
-                check(tlo >= y_interval(cur)[0], "cylinder escapes both induction windows")
+                inside = cur._cmp(tlo, cur._window(False)[0]) >= 0
+                check(inside, "cylinder escapes both induction windows")
                 side, ext = "left", cur.alphabet.letters[0]
-            avoiding = [b for b, span in spans.items() if _disjoint(span, (tlo, thi))]
+            avoiding = [b for b, (lo, hi) in spans.items()  # blocks apart from the target
+                        if cur._cmp(hi, tlo) <= 0 or cur._cmp(thi, lo) <= 0]
             if any(ext in b for b in avoiding):
                 b = min(avoiding, key=lambda bb: (len(bb), cur.alphabet.index(bb[0])))
                 rec = split(cur, b, "complement")
-                if rec.glue is not None and tlo >= spans[b][1]:
-                    gap = rec.glue[1]
-                    tlo, thi = tlo - gap, thi - gap
-                    back_shift = back_shift + gap
+                blo, bhi = spans[b]
+                if rec.glue is not None and cur._cmp(tlo, bhi) >= 0:
+                    gap = cur._add(bhi, blo, -1)
+                    tlo, thi = cur._add(tlo, gap, -1), cur._add(thi, gap, -1)
             else:
                 rec = right_step(cur) if side == "right" else left_step(cur)
         records.append(rec)
         cur = rec.after
-    final = cur if back_shift == ZERO else cur.translate(back_shift)
+    widths = [width for _, width in cur._pieces().values()]
+    final = cur if tlo == origin else cur._child(cur.alphabet, cur.perm.images, origin, widths)
     # compose the records' rules once, outermost first, and check the result
     rules = {x: x for x in t.alphabet}
     for rec in records:
-        rules = {x: "".join(rules[c] for c in w) for x, w in rec.morphism.rules.items()}
+        table = str.maketrans(rules)
+        rules = {x: w.translate(table) for x, w in rec.morphism.rules.items()}
     morphism = LetterMorphism(final.alphabet, t.alphabet, rules)
     return InductionChain(t, word, target, tuple(records), final, morphism)

@@ -56,7 +56,7 @@ def test_only_iet_reads_the_integer_frame():
     """The frame's pairs and their helpers have one owner: no other module
     imports an underscore name from .exact or .iet, or reads a frame
     attribute."""
-    frame = {"_frame", "_cuts", "_image_cuts", "_tau", "_rank"}
+    frame = {"_frame", "_cuts", "_image_cuts", "_tau", "_rank", "_widths", "_wide"}
     package = os.path.dirname(ietbwt.__file__)
     found = []
     for name in sorted(os.listdir(package)):

@@ -496,6 +496,28 @@ class TestParsing:
             )
             assert parse_value(str(v)) == v
 
+    def test_terms_sum_as_field_values(self):
+        """Seeded strings of rational and radical terms parse to the sum of
+        their terms added as FieldValues, a square factor of a radicand
+        moving into the coefficient, and each sum reads back from its own
+        rendering."""
+        rng = random.Random(11)
+        for _ in range(300):
+            d = rng.choice([2, 3, 5, 7])
+            terms, total = [], make_rational(0)
+            for _ in range(rng.randint(1, 4)):
+                num, den = rng.randint(-30, 30), rng.randint(1, 12)
+                if rng.random() < 0.5:
+                    root = rng.choice([1, 2])
+                    terms.append("%d/%d*sqrt(%d)" % (num, den, d * root * root))
+                    total = total + make_quadratic(0, Fraction(num * root, den), d)
+                else:
+                    terms.append("%d/%d" % (num, den))
+                    total = total + make_rational(num, den)
+            text = " + ".join(terms).replace("+ -", "- ")
+            assert parse_value(text) == total, text
+            assert parse_value(str(total)) == total
+
     def test_json_forms(self):
         assert value_from_json("3/4 - 1/4*sqrt(5)") == make_quadratic(
             Fraction(3, 4), Fraction(-1, 4), 5

@@ -120,6 +120,21 @@ def test_components_match_regions_of_e5(e5):
     assert by_component == {frozenset(v) for v in by_region.values()}
 
 
+def test_shape_matches_components():
+    """Every bipartite graph on two and three vertices a side: a forest has
+    one more vertex than edges per component, and connected means one
+    component."""
+    left, right = ("a", "b", "c"), ("x", "y")
+    pairs = [(a, b) for a in left for b in right]
+    for mask in range(1 << len(pairs)):
+        edges = tuple(p for i, p in enumerate(pairs) if mask >> i & 1)
+        g = ExtensionGraph("w", left, right, edges)
+        comps = len(g.components())
+        assert g.is_forest() == (len(g.vertices()) == len(edges) + comps)
+        assert g.is_connected() == (comps <= 1)
+        assert g.is_tree() == (g.is_forest() and comps <= 1)
+
+
 def test_classify_flags_incompatible_word():
     lang = language_of_periodic("aab", 5)
     bad = classify_language(lang, ("a", "b"), ("a", "b"), max_word_len=3)

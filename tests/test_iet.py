@@ -256,6 +256,26 @@ class TestGeometryOracle:
             with pytest.raises(DomainError, match="incompatible radicands 5 and 3"):
                 method(x)
 
+    def test_a_point_denominator_widens_the_frame_once(self, monkeypatch):
+        """A trajectory from a k/97 point lays its map out once on the
+        wider frame, which serves every later iterate and a first return
+        from the same point."""
+        t = self.EXCHANGES["sqrt5 origin"]()
+        lo, hi = t.domain()
+        x = lo + (hi - lo) * Fraction(41, 97)
+        frames = []
+        build = Iet._build
+
+        def counted(self, d, n, *args):
+            frames.append((d, n))
+            build(self, d, n, *args)
+
+        monkeypatch.setattr(Iet, "_build", counted)
+        word = trajectory(t, x, 20)
+        assert len(frames) == 1 and frames[0][1] % 97 == 0
+        assert first_return_point(t, x, lo, hi).itinerary == word[:1]
+        assert len(frames) == 1
+
     def test_first_return_reads_each_letter_once(self):
         """The walk's itinerary is the coding of x up to its return time,
         its point is that iterate, and no earlier iterate is in the window."""

@@ -16,7 +16,7 @@ from ietbwt import induction
 from ietbwt.alphabet import Perm
 from ietbwt.coding import LetterMorphism, left_return_words, language
 from ietbwt.errors import CapExceeded, DomainError
-from ietbwt.exact import make_rational
+from ietbwt.exact import make_rational, parse_value
 from ietbwt.extgraph import classify_language
 from ietbwt.iet import Iet, diet_to_iet
 from ietbwt.induction import (
@@ -258,14 +258,15 @@ def test_left_step_matches_mirrored_right_step():
 
 
 def test_one_map_and_one_morphism_per_step(e5, monkeypatch):
+    # a map is built by the public constructor or on its parent's frame
     counts = Counter()
-    for cls in (Iet, LetterMorphism):
+    for cls, builder in ((Iet, "__init__"), (Iet, "_child"), (LetterMorphism, "__init__")):
 
-        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+        def counted(self, *args, _build=getattr(cls, builder), _name=cls.__name__, **kwargs):
             counts[_name] += 1
-            _init(self, *args, **kwargs)
+            return _build(self, *args, **kwargs)
 
-        monkeypatch.setattr(cls, "__init__", counted)
+        monkeypatch.setattr(cls, builder, counted)
     rng = random.Random(13)
     family = [random_quadratic_iet(rng, rng.randint(2, 5)) for _ in range(20)]
     family += [random_rational_iet(rng, 3, steppable=True) for _ in range(20)]
@@ -546,6 +547,82 @@ def test_induce_with_interior_glue():
     assert chain.final.domain() == t.interval("e")
     assert chain.morphism.rules == {"e": "ec"}
     _check_chain(chain)
+
+
+def _oracle_maps() -> list:
+    """Seeded maps for the chain oracle: quadratic and rational ones, ones
+    whose lengths and origin mix denominators, and non-minimal ones, with
+    an invariant prefix block in Q(sqrt 2) and with an interior glue."""
+    rng = random.Random(31)
+    maps = [random_quadratic_iet(rng, rng.randint(3, 5)) for _ in range(5)]
+    maps += [random_rational_iet(rng, rng.randint(3, 5), steppable=True) for _ in range(5)]
+    for _ in range(4):
+        letters = "abcd"[: rng.randint(3, 4)]
+        lengths = {x: make_rational(rng.randint(1, 9), rng.choice((2, 3, 5, 7))) for x in letters}
+        origin = make_rational(rng.randint(-5, 5), rng.choice((4, 9, 13)))
+        maps.append(Iet(letters, lengths, "".join(rng.sample(letters, len(letters))), origin))
+    spec = {"a": "1/3", "b": "-1/2+1/2*sqrt(2)", "c": "3/4", "d": "2-sqrt(2)", "e": "1/5"}
+    lengths = {x: parse_value(v) for x, v in spec.items()}
+    maps.append(Iet("abcde", lengths, "baedc", origin=parse_value("1/7*sqrt(2)")))
+    maps.append(_glue_map())
+    return maps
+
+
+def _shifted(interval, rec):
+    """An interval of a split's parent in the child's coordinates: a glue
+    moves everything right of the removed block left by its width."""
+    if rec.glue is None or interval[0] < rec.glue[0]:
+        return interval
+    return tuple(v - rec.glue[1] for v in interval)
+
+
+def test_chain_maps_match_public_rebuilds():
+    """Every map of a chain lives on its root's frame.  Each record's map
+    equals the public constructor's rebuild of it, by == and JSON and in
+    every interval, image slot and translation; a step's map is the first
+    return of its parent (`_check_step`), a split's keeps its parent's
+    intervals and slots; and each chain's morphism codes the first returns
+    to the cylinder."""
+    seen = Counter()
+    for t in _oracle_maps():
+        lang = language(t, 2)
+        for w in (u for n in (1, 2) for u in lang.words_of_length(n)):
+            chain = induce_to_cylinder(t, w)
+            for rec in chain.records:
+                m = rec.after
+                rebuilt = Iet(m.alphabet.letters, dict(m.lengths), m.perm.one_line(), m.origin)
+                assert m == rebuilt and m.to_json() == rebuilt.to_json()
+                assert m.domain() == rebuilt.domain()
+                assert m.invariant_blocks() == rebuilt.invariant_blocks()
+                for x in m.alphabet:
+                    assert m.interval(x) == rebuilt.interval(x)
+                    assert m.image_interval(x) == rebuilt.image_interval(x)
+                    assert m.translation(x) == rebuilt.translation(x)
+                if rec.kind == "split":
+                    for x in m.alphabet:
+                        assert m.interval(x) == _shifted(rec.before.interval(x), rec)
+                        assert m.image_interval(x) == _shifted(rec.before.image_interval(x), rec)
+                else:
+                    _check_step(rec, samples_per_letter=1)
+                seen[rec.kind] += 1
+                seen["glue"] += rec.glue is not None
+            _check_chain(chain, samples_per_letter=1)
+    kinds = [side + "_" + kind for side in ("right", "left") for kind in ("top", "bottom", "merge")]
+    assert all(seen[kind] for kind in (*kinds, "split", "glue")), seen
+
+
+def test_chain_oracle_under_optimize():
+    """The chain oracle also holds under python -O, which would strip any
+    bare assert from the library (pytest keeps the test's own)."""
+    src = os.path.dirname(os.path.dirname(ietbwt.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    here = os.path.dirname(os.path.abspath(__file__))
+    out = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-k", "chain_maps_match_public_rebuilds", __file__],
+        capture_output=True, text=True, env=env, cwd=here,
+    )
+    assert out.returncode == 0 and "1 passed" in out.stdout, out.stdout + out.stderr
 
 
 def test_induce_empty_word(e5):
