@@ -62,13 +62,18 @@ def cylinders(t: Iet, depth: int) -> CylinderTable:
     ))
 
 
-def cylinder(t: Iet, word: str) -> Interval:
-    """The interval I_w coded by the word, pulled back right to left one
-    letter at a time along the word's suffixes."""
+def _cylinder_ends(t: Iet, word: str) -> tuple:
+    """The ends of I_w as frame pairs, pulled back right to left one letter
+    at a time along the word's suffixes."""
     *_, level = t._levels(len(word), word)
     if word not in level:
         raise DomainError("empty cylinder for %r" % word)
-    return tuple(map(t._value, level[word]))
+    return level[word]
+
+
+def cylinder(t: Iet, word: str) -> Interval:
+    """The interval I_w coded by the word."""
+    return tuple(map(t._value, _cylinder_ends(t, word)))
 
 
 @dataclass(frozen=True)

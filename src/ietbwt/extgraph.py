@@ -25,14 +25,9 @@ class ExtensionGraph:
     def is_bispecial(self) -> bool:
         return len(self.left) >= 2 and len(self.right) >= 2
 
-    def vertices(self) -> tuple:
-        out = [("L", a) for a in self.left]
-        out.extend(("R", b) for b in self.right)
-        return tuple(out)
-
     def _union(self) -> tuple:
-        """One union-find: the root finder, forest, connected.  An edge that
-        merges two components leaves one fewer; any other closes a cycle."""
+        """One union-find: (forest, connected).  An edge that merges two
+        components leaves one fewer; any other closes a cycle."""
         parent: dict = {}
 
         def find(v):
@@ -46,22 +41,13 @@ class ExtensionGraph:
             if ra != rb:
                 parent[ra] = rb
                 merges += 1
-        return find, merges == len(self.edges), len(self.left) + len(self.right) - merges <= 1
-
-    def components(self) -> tuple:
-        find, groups = self._union()[0], {}
-        for v in self.vertices():
-            groups.setdefault(find(v), []).append(v)
-        return tuple(sorted((frozenset(vs) for vs in groups.values()), key=min))
+        return merges == len(self.edges), len(self.left) + len(self.right) - merges <= 1
 
     def is_forest(self) -> bool:
-        return self._union()[1]
-
-    def is_connected(self) -> bool:
-        return self._union()[2]
+        return self._union()[0]
 
     def is_tree(self) -> bool:
-        return all(self._union()[1:])
+        return all(self._union())
 
     def to_json(self) -> dict:
         return {
@@ -172,7 +158,7 @@ def classify_language(
         for w in lang.words_of_length(n):
             g = extension_graph(lang, w)
             checked += 1
-            _, forest, connected = g._union()
+            forest, connected = g._union()
             if first_non_tree is None and not (forest and connected):
                 first_non_tree = w
             if g.is_bispecial():

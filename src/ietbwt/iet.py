@@ -9,7 +9,10 @@ Each exchange has one integer frame, read by this module alone: the
 radicand d and a denominator n (the inputs' lcm for the public constructor)
 of the pairs (A, B), (A + B*sqrt(d))/n, of its cuts, widths and slots.  A
 step's, split's or glue shift's map is a child on its parent's pairs, so a
-chain shares its root's frame; values are built on first use.
+chain shares its root's frame; the constructor and a child share one
+checked layout, and values are built on first use.  A point is compared at
+its own scale: over the lcm of n and its denominator, with the map's pairs
+scaled to it for that call, so no map is laid out for a point.
 """
 
 from __future__ import annotations
@@ -60,6 +63,11 @@ def _pair(v: FieldValue, n: int) -> tuple[int, int]:
     return v.a * s, v.b * s
 
 
+def _scale(pairs: tuple, s: int) -> tuple:
+    """Frame pairs on a frame s times finer: the same values."""
+    return pairs if s == 1 else tuple((a * s, b * s) for a, b in pairs)
+
+
 def _bisect(cuts: tuple, a: int, b: int, d: int) -> int:
     """bisect_right of the pair (a, b) in ascending pairs over one
     denominator: the sign of each difference is decided inline as by _sign."""
@@ -83,8 +91,6 @@ def _combinatorics(letters, row) -> tuple:
 
 
 class Iet:
-    _wide = None  # the last wider frame a point asked for (see _framed)
-
     def __init__(
         self,
         alphabet: LettersLike,
@@ -109,9 +115,6 @@ class Iet:
         radicands.discard(0)
         if len(radicands) > 1:
             raise DomainError("mixed radicands %s in one transformation" % radicands)
-        for x, v in self.lengths.items():
-            if v.sign() <= 0:
-                raise DomainError("length of %r must be positive, got %s" % (x, v))
         d = radicands.pop() if radicands else 0
         n = lcm(self.origin.n, *(v.n for v in self.lengths.values()))
         rank = tuple(map(self.alphabet.letters.index, perm.images))
@@ -119,22 +122,21 @@ class Iet:
 
     def _child(self, letters, row, origin: tuple, widths) -> "Iet":
         """The map of the letters and row (tuples or strings) from an origin and
-        widths on this frame, each tested positive inline as by _sign."""
+        widths on this frame."""
         t = object.__new__(Iet)
         t.alphabet, t.perm, rank = _combinatorics(letters, row)
-        d, n = self._frame
-        for x, (a, b) in zip(t.alphabet.letters, widths):
-            if not (a > 0 or b > 0) or a < 0 and b * b * d <= a * a or b < 0 and a * a <= b * b * d:
-                raise DomainError("length of %r must be positive, got %s" % (x, _make(a, b, d, n)))
-        t._build(d, n, rank, origin, widths)
+        t._build(*self._frame, rank, origin, widths)
         return t
 
     def _build(self, d: int, n: int, rank: tuple, origin: tuple, widths) -> None:
-        """Lay out cuts, image cuts and translations on the frame (d, n)."""
+        """Lay out cuts, image cuts and translations on the frame (d, n),
+        each width tested positive: the one layout of every map."""
         self._frame, self._rank, self._widths = (d, n), rank, tuple(widths)
         (a, b), cuts = origin, [origin]
-        for wa, wb in self._widths:
-            a, b = a + wa, b + wb
+        for x, (p, q) in zip(self.alphabet.letters, self._widths):
+            if _sign(p, q, d) <= 0:
+                raise DomainError("length of %r must be positive, got %s" % (x, _make(p, q, d, n)))
+            a, b = a + p, b + q
             cuts.append((a, b))
         (a, b), image, tau = origin, [origin], [None] * len(rank)
         for i in rank:  # a letter moves by its slot's left end minus its own
@@ -163,23 +165,17 @@ class Iet:
         """A frame pair as a FieldValue."""
         return _make(*pair, *self._frame)
 
-    def _framed(self, *values) -> tuple:
-        """(t, pairs): this map on the lcm frame holding the values too (the
-        last wider copy is kept) and the values as pairs; one radicand only."""
-        d, n = self._frame
+    def _on_frame(self, *values) -> tuple:
+        """(d, m, pairs): the lcm frame of this map and the values, whose
+        radicand a rational map adopts, and the values as pairs on it."""
+        d, m = self._frame
         for v in values:
             if v.d and v.d != d:
                 if d:
                     raise DomainError("incompatible radicands %d and %d" % (d, v.d))
                 d = v.d
-            n = n if n % v.n == 0 else lcm(n, v.n)
-        t = self if (d, n) == self._frame else self._wide
-        if t is None or t._frame != (d, n):
-            s = n // self._frame[1]
-            t = self._wide = object.__new__(Iet)
-            t.alphabet, t.perm, (a, b) = self.alphabet, self.perm, self._cuts[0]
-            t._build(d, n, self._rank, (a * s, b * s), [(p * s, q * s) for p, q in self._widths])
-        return t, [_pair(v, n) for v in values]
+            m = m if m % v.n == 0 else lcm(m, v.n)
+        return d, m, [_pair(v, m) for v in values]
 
     def _span(self) -> tuple:
         """The domain's ends as frame pairs."""
@@ -207,10 +203,11 @@ class Iet:
         return (self._cuts[0], cut) if right else (cut, self._cuts[-1])
 
     def _locate(self, x: FieldValue, image: bool = False) -> int:
-        """Index of the interval between cuts, or image cuts, holding x."""
-        t, [(a, b)] = self._framed(x)
-        cuts = t._image_cuts if image else t._cuts
-        i = _bisect(cuts, a, b, t._frame[0]) - 1
+        """Index of the interval between cuts, or image cuts, holding x,
+        compared at x's scale."""
+        d, m, [(a, b)] = self._on_frame(x)
+        cuts = _scale(self._image_cuts if image else self._cuts, m // self._frame[1])
+        i = _bisect(cuts, a, b, d) - 1
         if not 0 <= i < len(cuts) - 1:
             raise DomainError("point %s outside domain [%s, %s)" % (x, *self.domain()))
         return i
@@ -252,12 +249,14 @@ class Iet:
             yield nxt
             level = nxt
 
-    def _walk(self, lo: tuple, hi: tuple, pieces, cap: int, capped: str) -> list:
+    def _walk(self, frame: tuple, lo: tuple, hi: tuple, pieces, cap: int, capped: str) -> list:
         """Each (start, width) piece's (landing, itinerary): moved by the map,
         at least once and at most cap times, until it lies in [lo, hi), and
-        checked to move rigidly at every iterate.  A point has width zero."""
-        d = self._frame[0]
-        cuts, taus, letters = self._cuts, self._tau, self.alphabet.letters
+        checked to move rigidly at every iterate.  A point has width zero.
+        The pairs are on the frame (d, m), the map's own or a finer one."""
+        d, m = frame
+        s, letters = m // self._frame[1], self.alphabet.letters
+        cuts, taus = _scale(self._cuts, s), _scale(self._tau, s)
         (la, lb), (ha, hb), k = lo, hi, len(taus)
         landings = []
         for (a, b), (wa, wb) in pieces:
@@ -266,7 +265,7 @@ class Iet:
                 i = _bisect(cuts, a, b, d) - 1
                 if not 0 <= i < k:
                     raise DomainError(
-                        "point %s outside domain [%s, %s)" % (self._value((a, b)), *self.domain())
+                        "point %s outside domain [%s, %s)" % (_make(a, b, d, m), *self.domain())
                     )
                 ea, eb = cuts[i + 1]
                 if (wa or wb) and _sign(ea - a - wa, eb - b - wb, d) < 0:  # a point fits
@@ -291,7 +290,8 @@ class Iet:
         t2 = self._child(order, row, lo, [w for _, w in pieces])
         tiled = t2._cuts[-1] == hi and [s for s, _ in pieces] == list(t2._cuts[:-1])
         check(tiled, "pieces do not tile the sub-domain")
-        landings = self._walk(lo, hi, pieces, _WALK_CAP, "first-return walk exceeded %d steps")
+        capped = "first-return walk exceeded %d steps"
+        landings = self._walk(self._frame, lo, hi, pieces, _WALK_CAP, capped)
         slots = dict(zip(t2._rank, t2._image_cuts))  # letter index -> its slot's left end
         landed = [point for point, _ in landings] == [slots[i] for i in range(len(slots))]
         check(landed, "landings differ from the Rauzy row")
@@ -365,15 +365,6 @@ class Iet:
                 if (i, j) != (0, k) and sorted(rank[i:j]) == list(range(i, j)):
                     out[base[i:j]] = (cuts[i], cuts[j])
         return out
-
-    def block_interval(self, block: Iterable[str]) -> Interval:
-        letters = self.alphabet.ordered(block)
-        if not letters:
-            raise DomainError("empty block")
-        i = self.alphabet.index(letters[0])
-        if tuple(self.alphabet.letters[i : i + len(letters)]) != letters:
-            raise DomainError("block %r is not contiguous" % ("".join(letters),))
-        return (self.interval(letters[0])[0], self.interval(letters[-1])[1])
 
     # -- connections -----------------------------------------------------
 

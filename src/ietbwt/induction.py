@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .coding import LetterMorphism, cylinder
+from .coding import LetterMorphism, _cylinder_ends
 from .errors import CapExceeded, DomainError, check
-from .exact import FieldValue, ZERO
+from .exact import FieldValue
 from .iet import Iet, Interval
 
 _ORBIT_CAP = 10 ** 6  # iterates of a brute-force orbit walk
@@ -64,14 +64,6 @@ class StepRecord:
         if self.glue is not None:
             out["glue"] = [str(v) for v in self.glue]
         return out
-
-
-def _induced_from_partition(t: Iet, lo, hi, order, row, pieces):
-    """`Iet._induced` from (letter, left, width) FieldValue pieces in the
-    order's order, on t's frame widened to hold them."""
-    check([x for x, _, _ in pieces] == list(order), "pieces do not tile the sub-domain")
-    t, (lo, hi, *ends) = t._framed(lo, hi, *(v for _, *vs in pieces for v in vs))
-    return t._induced(lo, hi, order, row, list(zip(ends[::2], ends[1::2])))
 
 
 def _step(t: Iet, side: str) -> StepRecord:
@@ -183,13 +175,14 @@ class ReturnVisit:
 
 
 def first_return_point(t: Iet, x: FieldValue, lo, hi) -> ReturnVisit:
-    """Brute-force first return of x to [lo, hi) with its coding."""
+    """Brute-force first return of x to [lo, hi) with its coding, walked
+    on the lcm frame of t, x and the window."""
     if not (lo <= x < hi):
         raise DomainError("point %s outside window [%s, %s)" % (x, lo, hi))
     capped = "no return to the window within %d steps"
-    t, (x, lo, hi, zero) = t._framed(x, lo, hi, ZERO)
-    [(point, word)] = t._walk(lo, hi, [(x, zero)], _ORBIT_CAP, capped)
-    return ReturnVisit(t._value(point), len(word), word)
+    d, m, (x, lo, hi) = t._on_frame(x, lo, hi)
+    [((a, b), word)] = t._walk((d, m), lo, hi, [(x, (0, 0))], _ORBIT_CAP, capped)
+    return ReturnVisit(FieldValue(a, b, d, m), len(word), word)
 
 
 # -- induction onto a cylinder ------------------------------------------
@@ -227,8 +220,8 @@ def induce_to_cylinder(t: Iet, word: str, max_steps: int = 200) -> InductionChai
         raise DomainError("step cap must be non-negative, got %d" % max_steps)
     for ch in word:
         t.alphabet.index(ch)
-    target = cylinder(t, word)
-    _, (tlo, thi) = t._framed(*target)
+    tlo, thi = _cylinder_ends(t, word)
+    target = (t._value(tlo), t._value(thi))
     origin = tlo  # a glue shift moves the target left; the final map moves back
     cur, records = t, []
     while cur._span() != (tlo, thi):

@@ -10,6 +10,7 @@ sit in k/97 steps, outside every map's own denominators.
 
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -23,12 +24,7 @@ from ietbwt.coding import cylinder, cylinders, language
 from ietbwt.errors import DomainError, InvariantError
 from ietbwt.exact import make_rational, parse_value
 from ietbwt.iet import Iet
-from ietbwt.induction import (
-    ReturnVisit,
-    _induced_from_partition,
-    first_return_point,
-    induce_to_cylinder,
-)
+from ietbwt.induction import ReturnVisit, first_return_point, induce_to_cylinder
 
 from conftest import make_e5, random_quadratic_iet
 
@@ -162,10 +158,20 @@ def test_rational_map_adopts_the_radicand_of_a_point():
 
 def test_a_piece_across_a_cut_does_not_move_rigidly():
     half = make_rational(1, 2)
-    t = Iet("ab", {"a": half, "b": half}, "ba")
-    piece = ("a", make_rational(0), make_rational(1))
+    t = Iet("ab", {"a": half, "b": half}, "ba")  # frame pairs are halves
     with pytest.raises(InvariantError, match="piece does not move rigidly"):
-        _induced_from_partition(t, make_rational(0), make_rational(1), "a", "a", [piece])
+        t._induced((0, 0), (2, 0), "a", "a", [((0, 0), (2, 0))])
+
+
+def test_a_walk_on_a_finer_frame_names_its_point():
+    """A window wider than the domain lets a point in 97ths reach the
+    walk, which names it as given and walks a surd point to its return."""
+    t = Iet("ab", {"a": make_rational(1, 3), "b": make_rational(2, 3)}, "ba")
+    lo, hi = make_rational(-1), make_rational(2)
+    with pytest.raises(DomainError, match=re.escape("point -1/97 outside domain [0, 1)")):
+        first_return_point(t, make_rational(-1, 97), lo, hi)
+    visit = first_return_point(t, parse_value("-1/97+1/97*sqrt(2)"), lo, hi)
+    assert visit == ReturnVisit(parse_value("191/291+1/97*sqrt(2)"), 1, "a")
 
 
 def test_two_radicands_are_refused(capsys):

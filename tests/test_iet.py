@@ -11,7 +11,7 @@ from ietbwt.alphabet import Alphabet, Perm
 from ietbwt.coding import trajectory
 from ietbwt.errors import DomainError
 from ietbwt.exact import FieldValue, make_quadratic, make_rational
-from ietbwt.induction import first_return_point
+from ietbwt.induction import ReturnVisit, first_return_point
 from ietbwt.iet import (
     Connection,
     Iet,
@@ -127,16 +127,15 @@ class TestBlocks:
         assert e5.invariant_blocks() == (("b", "c"), ("b", "c", "d"), ("d",))
 
     def test_block_intervals(self, e5):
-        assert e5.block_interval(("b", "c")) == (
-            make_rational(1, 6),
-            make_rational(2, 3),
-        )
-        assert e5.block_interval("bcd") == (make_rational(1, 6), make_rational(5, 6))
-        assert e5.block_interval(["d"]) == (make_rational(2, 3), make_rational(5, 6))
-
-    def test_non_contiguous_rejected(self, e5):
-        with pytest.raises(DomainError):
-            e5.block_interval(("b", "d"))
+        spans = {
+            block: (e5.interval(block[0])[0], e5.interval(block[-1])[1])
+            for block in e5.invariant_blocks()
+        }
+        assert spans == {
+            ("b", "c"): (make_rational(1, 6), make_rational(2, 3)),
+            ("b", "c", "d"): (make_rational(1, 6), make_rational(5, 6)),
+            ("d",): (make_rational(2, 3), make_rational(5, 6)),
+        }
 
     def test_no_blocks_for_golden(self, golden):
         assert golden.invariant_blocks() == ()
@@ -256,13 +255,17 @@ class TestGeometryOracle:
             with pytest.raises(DomainError, match="incompatible radicands 5 and 3"):
                 method(x)
 
-    def test_a_point_denominator_widens_the_frame_once(self, monkeypatch):
-        """A trajectory from a k/97 point lays its map out once on the
-        wider frame, which serves every later iterate and a first return
-        from the same point."""
+    def test_a_point_denominator_builds_no_map(self, monkeypatch):
+        """A k/97 point is compared with the map at its own scale: its
+        trajectory, first return and images both ways lay out no map, and
+        they equal the scan's."""
         t = self.EXCHANGES["sqrt5 origin"]()
+        _, _, letter_at, apply, apply_inverse = _scan_oracle(t)
         lo, hi = t.domain()
         x = lo + (hi - lo) * Fraction(41, 97)
+        want, p = "", x
+        for _ in range(20):
+            want, p = want + letter_at(p), apply(p)
         frames = []
         build = Iet._build
 
@@ -271,10 +274,10 @@ class TestGeometryOracle:
             build(self, d, n, *args)
 
         monkeypatch.setattr(Iet, "_build", counted)
-        word = trajectory(t, x, 20)
-        assert len(frames) == 1 and frames[0][1] % 97 == 0
-        assert first_return_point(t, x, lo, hi).itinerary == word[:1]
-        assert len(frames) == 1
+        assert trajectory(t, x, 20) == want
+        assert first_return_point(t, x, lo, hi) == ReturnVisit(apply(x), 1, want[:1])
+        assert t.apply(x) == apply(x) and t.apply_inverse(x) == apply_inverse(x)
+        assert frames == []
 
     def test_first_return_reads_each_letter_once(self):
         """The walk's itinerary is the coding of x up to its return time,
@@ -341,6 +344,9 @@ class TestConstruction:
             Iet("ab", ok, "cb")
         with pytest.raises(DomainError, match="permutation base 'ba' does not match"):
             Iet("ab", ok, Perm("ba", "ba"))
+        bad = {"a": make_rational(1, 2), "b": make_quadratic(1, Fraction(-1, 2), 5)}
+        with pytest.raises(DomainError, match=re.escape("of 'b' must be positive, got 1 - 1/2*")):
+            Iet("ab", bad, "ba")
         Iet("ab", ok, "ba")
 
     def test_int_and_fraction_lengths_are_coerced(self):

@@ -328,14 +328,14 @@ def _run_optimized(code: str) -> str:
     return out.stdout.strip()
 
 
+# the map's frame pairs are halves: (A, 0) is A/2
 _OPTIMIZED_STEP = [
     "from ietbwt.errors import InvariantError",
     "from ietbwt.exact import make_rational as r",
     "from ietbwt.iet import Iet",
-    "from ietbwt.induction import _induced_from_partition",
     "t = Iet('ab', {'a': r(1, 2), 'b': r(1, 2)}, 'ba')",
     "try:",
-    "    _induced_from_partition(t, %s)",
+    "    t._induced(%s)",
     "except InvariantError as exc:",
     "    print(__debug__, exc)",
 ]
@@ -343,7 +343,7 @@ _OPTIMIZED_STEP = [
 
 def test_soundness_checks_survive_optimize():
     """Under python -O bare asserts vanish; the step checks must not."""
-    args = "r(0), r(1, 2), ('a',), ('a',), [('a', r(0), r(1, 4))]"
+    args = "(0, 0), (2, 0), ('a',), ('a',), [((0, 0), (1, 0))]"
     code = "\n".join(_OPTIMIZED_STEP) % args
     assert _run_optimized(code) == "False pieces do not tile the sub-domain"
 
@@ -351,13 +351,12 @@ def test_soundness_checks_survive_optimize():
 def test_declared_row_is_checked_under_optimize():
     """The walks land on the slots of the true row 'ba', so declaring the
     identity row fails, also under python -O."""
-    args = "r(0), r(1), 'ab', 'ab', [('a', r(0), r(1, 2)), ('b', r(1, 2), r(1, 2))]"
+    args = "(0, 0), (2, 0), 'ab', 'ab', [((0, 0), (1, 0)), ((1, 0), (1, 0))]"
     code = "\n".join(_OPTIMIZED_STEP) % args
     assert _run_optimized(code) == "False landings differ from the Rauzy row"
     half = make_rational(1, 2)
     t = Iet("ab", {"a": half, "b": half}, "ba")
-    pieces = [("a", fv(0), half), ("b", half, half)]
-    t2, words = induction._induced_from_partition(t, fv(0), fv(1), "ab", "ba", pieces)
+    t2, words = t._induced((0, 0), (2, 0), "ab", "ba", [((0, 0), (1, 0)), ((1, 0), (1, 0))])
     assert t2.perm.images == ("b", "a") and words == {"a": "a", "b": "b"}
 
 
