@@ -15,7 +15,6 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
 
 from .alphabet import Alphabet, LettersLike
 from .errors import DomainError
@@ -92,11 +91,12 @@ class LanguageSample:
 
     @cached_property
     def _by_length(self) -> dict[int, tuple[str, ...]]:
-        ordered = sorted(sorted(self.words), key=len)
-        # from a list, not the group iterator: a tuple grown from an iterator
-        # is resized into its size, and once freed it stays on CPython's
-        # tuple free list for that size until a full collection
-        return {n: tuple(list(ws)) for n, ws in groupby(ordered, len)}
+        groups: dict = {}
+        for w in self.words:
+            groups.setdefault(len(w), []).append(w)
+        # from a sorted list, not an iterator: a tuple grown from an iterator is resized,
+        # and once freed stays on CPython's free list for that size until a full collection
+        return {n: tuple(sorted(ws)) for n, ws in groups.items()}
 
     def words_of_length(self, n: int) -> tuple[str, ...]:
         return self._by_length.get(n, ())

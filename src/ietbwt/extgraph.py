@@ -58,22 +58,42 @@ class ExtensionGraph:
         }
 
 
+def _extensions(lang: LanguageSample, n: int) -> dict:
+    """Each length-n factor's left and right letters in the alphabet, and the pairs
+    (a, b) of them with awb in the sample, read once from its words of lengths n+1, n+2."""
+    alphabet, table = frozenset(lang.alphabet), {w: ([], [], []) for w in lang.words_of_length(n)}
+    for v in lang.words_of_length(n + 1):
+        if v[0] in alphabet and (e := table.get(v[1:])):
+            e[0].append(v[0])
+        if v[-1] in alphabet and (e := table.get(v[:-1])):
+            e[1].append(v[-1])
+    for u in lang.words_of_length(n + 2):
+        if (e := table.get(u[1:-1])) and u[0] in e[0] and u[-1] in e[1]:
+            e[2].append((u[0], u[-1]))
+    return table
+
+
+def _graph(letters: tuple, word: str, lefts, rights, pairs) -> ExtensionGraph:
+    """A table entry as a graph, its vertices and edges in alphabet order."""
+    # tuples from lists, not generators (see LanguageSample._by_length)
+    left = tuple([a for a in letters if a in lefts])
+    right = tuple([b for b in letters if b in rights])
+    edges = tuple([(a, b) for a in left for b in right if (a, b) in pairs])
+    return ExtensionGraph(word, left, right, edges)
+
+
 def extension_graph(lang: LanguageSample, word: str) -> ExtensionGraph:
     """The graph of a factor, read off the language sample.  The sample
     must be deep enough to decide every two-sided extension."""
-    if word not in lang:
+    table = _extensions(lang, len(word))
+    if word not in table:
         raise DomainError("%r is not in the language" % word)
     if lang.bound < len(word) + 2:
         raise DomainError(
             "language sampled to %d is too shallow for a length-%d factor"
             % (lang.bound, len(word))
         )
-    letters = tuple(lang.alphabet)
-    # tuples from lists, not generators (see LanguageSample._by_length)
-    left = tuple([a for a in letters if a + word in lang])
-    right = tuple([b for b in letters if word + b in lang])
-    edges = tuple([(a, b) for a in left for b in right if a + word + b in lang])
-    return ExtensionGraph(word, left, right, edges)
+    return _graph(tuple(lang.alphabet), word, *table[word])
 
 
 def _order_index(side: str, order) -> dict:
@@ -116,18 +136,9 @@ class ClassifyReport:
     first_incompatible: Optional[str]
 
     def to_json(self) -> dict:
-        return {
-            "left_order": "".join(self.left_order),
-            "right_order": "".join(self.right_order),
-            "max_word_len": self.max_word_len,
-            "words_checked": self.words_checked,
-            "dendric": self.dendric,
-            "alsinic": self.alsinic,
-            "ordered_alsinic": self.ordered_alsinic,
-            "first_non_tree": self.first_non_tree,
-            "first_non_forest": self.first_non_forest,
-            "first_incompatible": self.first_incompatible,
-        }
+        out = dict(vars(self))  # the fields, in order
+        out.update(left_order="".join(self.left_order), right_order="".join(self.right_order))
+        return out
 
 
 def classify_language(
@@ -136,9 +147,9 @@ def classify_language(
     right_order,
     max_word_len: Optional[int] = None,
 ) -> ClassifyReport:
-    """Check every factor up to the length bound.  Graphs of factors that
-    are not bispecial are forests and compatible with any orders, so only
-    bispecial factors can break those two properties."""
+    """Check every factor up to the length bound, one extension table per
+    length.  Graphs of factors that are not bispecial are stars, forests
+    compatible with any orders, so only bispecial factors get a graph."""
     _order_index("left", left_order)
     _order_index("right", right_order)
     if max_word_len is not None and max_word_len < 0:
@@ -153,21 +164,22 @@ def classify_language(
             % (max_word_len + 2, max_word_len)
         )
     first_non_tree = first_non_forest = first_incompatible = None
-    checked = 0
+    checked, letters = 0, tuple(lang.alphabet)
     for n in range(max_word_len + 1):
-        for w in lang.words_of_length(n):
-            g = extension_graph(lang, w)
+        for w, (lefts, rights, pairs) in _extensions(lang, n).items():
             checked += 1
+            if len(lefts) < 2 or len(rights) < 2:  # a star: a tree when |L| + |R| - |E| <= 1
+                if first_non_tree is None and len(lefts) + len(rights) - len(pairs) > 1:
+                    first_non_tree = w
+                continue
+            g = _graph(letters, w, lefts, rights, pairs)
             forest, connected = g._union()
             if first_non_tree is None and not (forest and connected):
                 first_non_tree = w
-            if g.is_bispecial():
-                if first_non_forest is None and not forest:
-                    first_non_forest = w
-                if first_incompatible is None and not compatible(
-                    g, left_order, right_order
-                ):
-                    first_incompatible = w
+            if first_non_forest is None and not forest:
+                first_non_forest = w
+            if first_incompatible is None and not compatible(g, left_order, right_order):
+                first_incompatible = w
     return ClassifyReport(
         left_order=tuple(left_order),
         right_order=tuple(right_order),

@@ -181,6 +181,13 @@ class Iet:
         """The domain's ends as frame pairs."""
         return self._cuts[0], self._cuts[-1]
 
+    def _span_text(self, texts: dict) -> list:
+        """The domain's ends as strings, each distinct end rendered once per dict."""
+        for end in self._span():
+            if (self._frame, end) not in texts:
+                texts[self._frame, end] = str(self._value(end))
+        return [texts[self._frame, end] for end in self._span()]
+
     def _pieces(self) -> dict:
         """Each letter's left end and width as frame pairs."""
         return dict(zip(self.alphabet.letters, zip(self._cuts, self._widths)))

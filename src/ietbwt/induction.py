@@ -51,11 +51,15 @@ class StepRecord:
     glue: Optional[tuple] = None
 
     def to_json(self) -> dict:
+        return self._json({})
+
+    def _json(self, texts: dict) -> dict:
+        """The JSON, domain ends rendered through texts, shared by a chain."""
         out = {
             "kind": self.kind,
             "alphabet": str(self.after.alphabet),
             "permutation": self.after.perm.one_line(),
-            "interval": [str(v) for v in self.after.domain()],
+            "interval": self.after._span_text(texts),
             "morphism": dict(self.morphism.rules),
         }
         if self.block is not None:
@@ -201,10 +205,11 @@ class InductionChain:
         return tuple(r.kind for r in self.records)
 
     def to_json(self) -> dict:
+        texts: dict = {}  # each distinct domain end rendered once
         return {
             "word": self.word,
             "target": [str(v) for v in self.target],
-            "steps": [r.to_json() for r in self.records],
+            "steps": [r._json(texts) for r in self.records],
             "final": self.final.to_json(),
             "morphism": self.morphism.to_json(),
         }

@@ -89,9 +89,10 @@ def _factor_runs(t: Iet, word_len: int, return_len: int):
 
 
 def _clustering_report(kind: str, t: Iet, word_len: int, return_len: int, clusters):
-    checks = []
+    checks, verdicts = [], {}  # one verdict per distinct return word
     for w, words, complete in _factor_runs(t, word_len, return_len):
-        fails = tuple(sorted(u for u in words if not clusters(u)))
+        verdicts.update((u, clusters(u)) for u in words.difference(verdicts))
+        fails = tuple(sorted(u for u in words if not verdicts[u]))
         checks.append(WordCheck(w, tuple(sorted(words)), complete, fails))
     return VerifyReport(kind, tuple(checks))
 

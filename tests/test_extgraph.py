@@ -1,21 +1,26 @@
 """Extension graphs, orders, and the clustering criterion they encode."""
 
 import itertools
+import random
 
 import pytest
 
 from ietbwt.alphabet import Perm
-from ietbwt.coding import diet_language, language, language_of_periodic
+from ietbwt.coding import LanguageSample, diet_language, language, language_of_periodic
 from ietbwt.errors import DomainError
+from ietbwt.exact import make_rational
 from ietbwt.extgraph import (
+    ClassifyReport,
     ExtensionGraph,
+    _order_index,
     classify_language,
     compatible,
     extension_graph,
 )
+from ietbwt.iet import Iet, diet_spec
 from ietbwt.words import is_pi_clustering
 
-from conftest import periodic_report
+from conftest import periodic_report, random_quadratic_iet, random_rational_iet
 
 
 LEFT_421 = ("c", "b", "a")
@@ -192,3 +197,153 @@ def test_periodic_report_equivalence_small_words():
             expected = is_pi_clustering(w, p)
             got = periodic_report(w, p).ordered_alsinic
             assert got == expected, (w, row)
+
+
+# -- the per-factor probes as an oracle for the extension table ----------
+
+
+def _probed_graph(lang, word):
+    """extension_graph as it read the sample: one membership probe per
+    letter and per pair of letters."""
+    if word not in lang:
+        raise DomainError("%r is not in the language" % word)
+    if lang.bound < len(word) + 2:
+        raise DomainError(
+            "language sampled to %d is too shallow for a length-%d factor"
+            % (lang.bound, len(word))
+        )
+    letters = tuple(lang.alphabet)
+    left = tuple(a for a in letters if a + word in lang)
+    right = tuple(b for b in letters if word + b in lang)
+    edges = tuple((a, b) for a in left for b in right if a + word + b in lang)
+    return ExtensionGraph(word, left, right, edges)
+
+
+def _probed_classify(lang, left_order, right_order, max_word_len=None):
+    """classify_language with a probed graph and a union-find per factor."""
+    _order_index("left", left_order)
+    _order_index("right", right_order)
+    if max_word_len is not None and max_word_len < 0:
+        raise DomainError("factor length must be non-negative, got %d" % max_word_len)
+    if lang.bound < 2:
+        raise DomainError("language depth %d is below 2, too shallow to classify" % lang.bound)
+    if max_word_len is None:
+        max_word_len = lang.bound - 2
+    if lang.bound < max_word_len + 2:
+        raise DomainError(
+            "need language depth %d to classify factors up to length %d"
+            % (max_word_len + 2, max_word_len)
+        )
+    first_non_tree = first_non_forest = first_incompatible = None
+    checked = 0
+    for n in range(max_word_len + 1):
+        for w in lang.words_of_length(n):
+            g = _probed_graph(lang, w)
+            checked += 1
+            forest, connected = g._union()
+            if first_non_tree is None and not (forest and connected):
+                first_non_tree = w
+            if g.is_bispecial():
+                if first_non_forest is None and not forest:
+                    first_non_forest = w
+                if first_incompatible is None and not compatible(g, left_order, right_order):
+                    first_incompatible = w
+    return ClassifyReport(
+        left_order=tuple(left_order),
+        right_order=tuple(right_order),
+        max_word_len=max_word_len,
+        words_checked=checked,
+        dendric=first_non_tree is None,
+        alsinic=first_non_forest is None,
+        ordered_alsinic=first_incompatible is None,
+        first_non_tree=first_non_tree,
+        first_non_forest=first_non_forest,
+        first_incompatible=first_incompatible,
+    )
+
+
+def _outcome(f, *args):
+    """A call's JSON, or the message of the DomainError it raised."""
+    try:
+        return f(*args).to_json()
+    except DomainError as exc:
+        return "DomainError: %s" % exc
+
+
+def _agree(lang, orders, max_lens=(None,)):
+    """Every graph up to the bound, and every report, match the oracle's;
+    returns how many reports saw a star that is not a tree."""
+    probes = sorted(lang.words) + ["zz", "a" * (lang.bound + 1)]
+    for w in probes:
+        assert _outcome(extension_graph, lang, w) == _outcome(_probed_graph, lang, w), w
+    star_non_trees = 0
+    for left, right in orders:
+        for m in max_lens:
+            got = _outcome(classify_language, lang, left, right, m)
+            assert got == _outcome(_probed_classify, lang, left, right, m), (left, right, m)
+            if isinstance(got, dict) and got["first_non_tree"] is not None:
+                star_non_trees += not extension_graph(lang, got["first_non_tree"]).is_bispecial()
+    return star_non_trees
+
+
+def _reducible_iet(rng, k):
+    """A rational map whose row keeps a proper prefix block invariant."""
+    letters = "abcde"[:k]
+    j = rng.randint(1, k - 1)
+    head, tail = list(letters[:j]), list(letters[j:])
+    rng.shuffle(head)
+    rng.shuffle(tail)
+    lengths = {x: make_rational(rng.randint(1, 9), 10) for x in letters}
+    return Iet(letters, lengths, "".join(head + tail))
+
+
+def _order_pairs(rng, letters, row):
+    """The row against the base order, two shuffled orders, and a left order
+    missing a letter."""
+    shuffled = [rng.sample(letters, len(letters)) for _ in range(2)]
+    return [(tuple(row), tuple(letters)), tuple(map(tuple, shuffled)),
+            (tuple(letters[:-1]), tuple(letters))]
+
+
+def test_extension_table_matches_probes_on_iet_languages():
+    rng = random.Random(25)
+    for k in (3, 4, 5):
+        for make in (random_rational_iet, random_quadratic_iet, _reducible_iet):
+            for _ in range(2):
+                t = make(rng, k)
+                lang = language(t, 6)
+                orders = _order_pairs(rng, t.alphabet.letters, t.perm.images)
+                _agree(lang, orders, (None, 0, 2, 5, -1))
+
+
+def test_extension_table_matches_probes_on_periodic_and_diet_languages(diet421):
+    rng = random.Random(26)
+    langs = [language_of_periodic(w, 7) for w in ("banana", "aab", "abcacb", "abcd")]
+    langs += [diet_language(diet421, 6), diet_language(diet_spec((3, 1, 2), "bca"), 5)]
+    for lang in langs:
+        letters = lang.alphabet
+        _agree(lang, _order_pairs(rng, letters, letters[::-1]), (None, 1, 3))
+
+
+def test_extension_table_matches_probes_on_samples_not_factor_closed():
+    """Random word sets, some with a letter outside the alphabet: the table
+    must not read a missing prefix, suffix or letter as an extension."""
+    rng = random.Random(27)
+    star_non_trees = samples = 0
+    while samples < 200:
+        letters = tuple("abc"[: rng.randint(2, 3)])
+        bound = rng.randint(1, 4)
+        spelling = letters + ("z",) * (rng.random() < 0.3)
+        keep = rng.uniform(0.3, 0.9)
+        words = {
+            "".join(p)
+            for n in range(bound + 1)
+            for p in itertools.product(spelling, repeat=n)
+            if rng.random() < keep
+        }
+        if all(w[1:] in words and w[:-1] in words for w in words if w):
+            continue  # factor-closed
+        samples += 1
+        lang = LanguageSample(letters, bound, frozenset(words))
+        star_non_trees += _agree(lang, _order_pairs(rng, letters, letters[::-1]), (None, 0, 1))
+    assert star_non_trees > 0  # stars that are not trees are decided from counts

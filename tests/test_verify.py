@@ -1,13 +1,18 @@
 """Reports over whole languages: clustering of return words and agreement
 between induction chains and brute-force first returns."""
 
+import hashlib
+import json
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
+from ietbwt import verify
 from ietbwt.coding import language, left_return_words
 from ietbwt.errors import DomainError
-from ietbwt.iet import diet_to_iet
+from ietbwt.iet import Iet, diet_to_iet
 from ietbwt.verify import (
     WordCheck,
     VerifyReport,
@@ -16,7 +21,7 @@ from ietbwt.verify import (
     verify_return_clustering,
 )
 
-from conftest import random_rational_iet
+from conftest import fv, make_e5, make_sym4, random_rational_iet
 
 
 def test_return_clustering_e5(e5):
@@ -131,3 +136,46 @@ def test_report_failure_paths():
     assert not report.ok
     assert report.failures() == ("w",)
     assert not bad.ok and good.ok
+
+
+def _item2_map() -> Iet:
+    """The quadratic map of ROADMAP item 2, row dabc."""
+    lengths = {
+        "a": fv(Fraction(-2, 3), Fraction(1, 2), 5),
+        "b": fv(Fraction(3, 2), Fraction(-1, 4), 5),
+        "c": fv(Fraction(7, 6)),
+        "d": fv(Fraction(1, 6), Fraction(1, 2), 5),
+    }
+    return Iet("abcd", lengths, "dabc", origin=fv(Fraction(5, 6), Fraction(-1, 4), 5))
+
+
+# (report, map, word length, return length, predicate's name in verify, digest
+# of the report's JSON as the per-word calls gave it)
+VERDICT_CASES = (
+    (verify.verify_return_clustering, make_e5, 3, 6, "is_clustering", "95503d4cf3481fe2"),
+    (verify.verify_return_clustering, _item2_map, 2, 8, "is_clustering", "41cc675df9349c50"),
+    (verify.verify_perfect_clustering_symmetric, make_sym4, 3, 6, "is_pi_clustering",
+     "5d3e356776eca179"),
+)
+
+
+@pytest.mark.parametrize("report_of, make, word_len, return_len, predicate, digest", VERDICT_CASES)
+def test_one_verdict_per_distinct_return_word(
+    monkeypatch, report_of, make, word_len, return_len, predicate, digest
+):
+    """The predicate runs once per distinct return word, though factors
+    share return words, and the report is the one per-word calls gave."""
+    calls = Counter()
+    inner = getattr(verify, predicate)
+
+    def counted(u, *rest):
+        calls[u] += 1
+        return inner(u, *rest)
+
+    monkeypatch.setattr(verify, predicate, counted)
+    report = report_of(make(), word_len, return_len)
+    returns = [u for c in report.checks for u in c.returns]
+    assert len(returns) > len(set(returns))  # some return word is shared
+    assert calls == Counter(set(returns))
+    text = json.dumps(report.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
