@@ -12,6 +12,7 @@ import sys
 from functools import cache
 from itertools import accumulate
 
+from . import verify
 from .alphabet import Perm
 from .coding import (
     cylinders,
@@ -27,11 +28,6 @@ from .exact import parse_value
 from .extgraph import classify_language, extension_graph
 from .iet import Iet, diet_spec, diet_action, diet_lyndon_multiset, diet_to_iet, iet_from_json
 from .induction import induce_to_cylinder
-from .verify import (
-    verify_induction_consistency,
-    verify_perfect_clustering_symmetric,
-    verify_return_clustering,
-)
 from .words import (
     bwt,
     ebwt,
@@ -44,10 +40,12 @@ from .words import (
 )
 
 
+# report functions by name, looked up on the verify module when a check runs,
+# so a wrapper installed there (as the benchmark's tracer does) is called
 _CHECKS = {
-    "returns": verify_return_clustering,
-    "symmetric": verify_perfect_clustering_symmetric,
-    "induction": verify_induction_consistency,
+    "returns": "verify_return_clustering",
+    "symmetric": "verify_perfect_clustering_symmetric",
+    "induction": "verify_induction_consistency",
 }
 
 
@@ -344,7 +342,8 @@ def cmd_classify(args):
 
 
 def cmd_verify(args):
-    report = _CHECKS[args.check](_load_iet(args), args.word_len, args.return_len)
+    check = getattr(verify, _CHECKS[args.check])
+    report = check(_load_iet(args), args.word_len, args.return_len)
     data = report.to_json()
     keys = ("checked", "ok") + (() if report.ok else ("failures",))
     return data, _lines(data, *keys)

@@ -23,15 +23,10 @@ from .iet import DietSpec, Iet, Interval, diet_action
 
 
 def trajectory(t: Iet, x: FieldValue, n: int) -> str:
-    """The first n letters of the coding of x."""
+    """The first n letters of the coding of x; x is not read when n is 0."""
     if n < 0:
         raise DomainError("trajectory length must be non-negative")
-    out = []
-    for _ in range(n):
-        a = t.letter_at(x)
-        out.append(a)
-        x = x + t.translation(a)
-    return "".join(out)
+    return t._coding(x, n) if n else ""
 
 
 @dataclass(frozen=True)
@@ -142,10 +137,7 @@ def left_return_words(
     lang: LanguageSample, word: str, max_len: int
 ) -> tuple[frozenset, bool]:
     """Words u with uw in the language and w occurring in uw only as its
-    prefix and suffix.  One level is read, the words v of length
-    max_len + |w| that start with w: the second occurrence of w in v ends
-    the return word v[:i], and a v without one clears the completeness
-    flag, which says no return word longer than max_len was missed."""
+    prefix and suffix, and whether none longer than max_len was missed."""
     if max_len < 1:
         raise DomainError("max_len must be positive")
     if word == "":
@@ -156,15 +148,25 @@ def left_return_words(
         raise DomainError(
             "language bound %d too small, need %d" % (lang.bound, max_len + len(word))
         )
-    found, complete = set(), True
-    for v in lang.words_of_length(max_len + len(word)):
-        if v.startswith(word):
-            i = v.find(word, 1)
-            if i == -1:
-                complete = False
-            else:
-                found.add(v[:i])
-    return frozenset(found), complete
+    return _left_returns_by_prefix(lang, len(word), max_len).get(word, (frozenset(), True))
+
+
+def _left_returns_by_prefix(lang: LanguageSample, n: int, max_len: int) -> dict:
+    """left_return_words of every length-n word that starts a word v of length
+    max_len + n, from one pass over that level grouped by prefix: the second
+    occurrence of the prefix w in v ends the return word v[:i], and a v
+    without one clears w's completeness flag."""
+    found: dict = {}
+    incomplete = set()
+    for v in lang.words_of_length(max_len + n):
+        w = v[:n]
+        i = v.find(w, 1)
+        if i == -1:
+            found.setdefault(w, set())
+            incomplete.add(w)
+        else:
+            found.setdefault(w, set()).add(v[:i])
+    return {w: (frozenset(us), w not in incomplete) for w, us in found.items()}
 
 
 def right_return_words(
@@ -198,6 +200,14 @@ class LetterMorphism:
                         % (ch, x, self.target)
                     )
         self.rules = {x: rules[x] for x in self.source.letters}
+
+    @classmethod
+    def _proven(cls, source: Alphabet, target: Alphabet, rules: dict) -> "LetterMorphism":
+        """A morphism whose rules are already known to send each source letter,
+        in source order, to a non-empty word of the target: nothing is rechecked."""
+        m = object.__new__(cls)
+        m.source, m.target, m.rules = source, target, rules
+        return m
 
     def __call__(self, word: str) -> str:
         try:

@@ -270,13 +270,7 @@ class FieldValue:
     # -- rendering -------------------------------------------------------
 
     def __str__(self):
-        a, b, n = self.a, self.b, self.n
-        if not b:
-            return _ratio(a, n)
-        root = "%s*sqrt(%d)" % (_ratio(abs(b), n), self.d)
-        if not a:
-            return root if b > 0 else "-" + root
-        return "%s %s %s" % (_ratio(a, n), "+" if b > 0 else "-", root)
+        return _text(self.a, self.b, self.d, self.n)
 
     def __repr__(self):
         return "FieldValue(%r)" % str(self)
@@ -310,11 +304,21 @@ def _make(a: int, b: int, d: int, n: int, v=None) -> FieldValue:
     return v
 
 
+def _text(a: int, b: int, d: int, n: int) -> str:
+    """(a + b*sqrt(d))/n for n > 0 as str renders it, each part reduced on
+    its own, so the integers need not be in lowest terms."""
+    if not b:
+        return _ratio(a, n)
+    root = f"{_ratio(abs(b), n)}*sqrt({d})"
+    if not a:
+        return root if b > 0 else "-" + root
+    return f"{_ratio(a, n)} {'+' if b > 0 else '-'} {root}"
+
+
 def _ratio(x: int, n: int) -> str:
     """x/n in lowest terms, rendered as Fraction renders it."""
     g = gcd(x, n)
-    x, n = x // g, n // g
-    return str(x) if n == 1 else "%d/%d" % (x, n)
+    return str(x // g) if n == g else f"{x // g}/{n // g}"
 
 
 def _floor_scaled(v: FieldValue, scale: int) -> int:

@@ -23,11 +23,12 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain
 from math import lcm
+from operator import eq
 from typing import Iterable, Optional, Union
 
 from .alphabet import Alphabet, LettersLike, Perm
 from .errors import CapExceeded, DomainError, InvariantError, check
-from .exact import FieldValue, ZERO, _make, _sign, value_from_json
+from .exact import FieldValue, ZERO, _make, _sign, _text, value_from_json
 from .words import lyndon_representative
 
 Interval = tuple[FieldValue, FieldValue]
@@ -132,15 +133,16 @@ class Iet:
         """Lay out cuts, image cuts and translations on the frame (d, n),
         each width tested positive: the one layout of every map."""
         self._frame, self._rank, self._widths = (d, n), rank, tuple(widths)
+        widths = self._widths
         (a, b), cuts = origin, [origin]
-        for x, (p, q) in zip(self.alphabet.letters, self._widths):
+        for x, (p, q) in zip(self.alphabet.letters, widths):
             if _sign(p, q, d) <= 0:
                 raise DomainError("length of %r must be positive, got %s" % (x, _make(p, q, d, n)))
             a, b = a + p, b + q
             cuts.append((a, b))
         (a, b), image, tau = origin, [origin], [None] * len(rank)
         for i in rank:  # a letter moves by its slot's left end minus its own
-            (ca, cb), (wa, wb) = cuts[i], self._widths[i]
+            (ca, cb), (wa, wb) = cuts[i], widths[i]
             tau[i] = (a - ca, b - cb)
             a, b = a + wa, b + wb
             image.append((a, b))
@@ -181,16 +183,13 @@ class Iet:
         """The domain's ends as frame pairs."""
         return self._cuts[0], self._cuts[-1]
 
-    def _span_text(self, texts: dict) -> list:
-        """The domain's ends as strings, each distinct end rendered once per dict."""
-        for end in self._span():
-            if (self._frame, end) not in texts:
-                texts[self._frame, end] = str(self._value(end))
-        return [texts[self._frame, end] for end in self._span()]
+    def _span_text(self) -> list:
+        """The domain's ends as strings, rendered from their pairs."""
+        return [_text(a, b, *self._frame) for a, b in self._span()]
 
-    def _pieces(self) -> dict:
-        """Each letter's left end and width as frame pairs."""
-        return dict(zip(self.alphabet.letters, zip(self._cuts, self._widths)))
+    def _pieces(self) -> list:
+        """Each letter's left end and width as frame pairs, in alphabet order."""
+        return list(zip(self._cuts, self._widths))
 
     def _cmp(self, p: tuple, q: tuple) -> int:
         """The sign of p - q for frame pairs."""
@@ -256,18 +255,19 @@ class Iet:
             yield nxt
             level = nxt
 
-    def _walk(self, frame: tuple, lo: tuple, hi: tuple, pieces, cap: int, capped: str) -> list:
-        """Each (start, width) piece's (landing, itinerary): moved by the map,
-        at least once and at most cap times, until it lies in [lo, hi), and
-        checked to move rigidly at every iterate.  A point has width zero.
-        The pairs are on the frame (d, m), the map's own or a finer one."""
+    def _walk(self, frame: tuple, lo: tuple, hi: tuple, pieces, cap: int, capped: str) -> tuple:
+        """The landings and the itineraries of the (start, width) pieces, each
+        moved by the map, at least once and at most cap times, until it lies
+        in [lo, hi), and checked to move rigidly at every iterate.  A point
+        has width zero.  The pairs are on the frame (d, m), the map's own or a
+        finer one."""
         d, m = frame
         s, letters = m // self._frame[1], self.alphabet.letters
         cuts, taus = _scale(self._cuts, s), _scale(self._tau, s)
         (la, lb), (ha, hb), k = lo, hi, len(taus)
-        landings = []
+        points, words = [], []
         for (a, b), (wa, wb) in pieces:
-            word = []
+            word = ""
             for _ in range(cap):
                 i = _bisect(cuts, a, b, d) - 1
                 if not 0 <= i < k:
@@ -277,32 +277,48 @@ class Iet:
                 ea, eb = cuts[i + 1]
                 if (wa or wb) and _sign(ea - a - wa, eb - b - wb, d) < 0:  # a point fits
                     raise InvariantError("piece does not move rigidly")
-                word.append(letters[i])
+                word += letters[i]
                 ta, tb = taus[i]
                 a, b = a + ta, b + tb
                 if _sign(a - la, b - lb, d) >= 0:
                     c = _sign(ha - a - wa, hb - b - wb, d)
                     if c > 0 or not c and (wa or wb):
-                        landings.append(((a, b), "".join(word)))
+                        points.append((a, b))
+                        words.append(word)
                         break
             else:
                 raise CapExceeded(capped % cap, cap)
-        return landings
+        return points, words
+
+    def _coding(self, x: FieldValue, n: int) -> str:
+        """The first n letters of the coding of x, walked at x's scale: the
+        cuts and translations are scaled once for the whole orbit."""
+        d, m, [(a, b)] = self._on_frame(x)
+        s, letters = m // self._frame[1], self.alphabet.letters
+        cuts, taus = _scale(self._cuts, s), _scale(self._tau, s)
+        word = ""
+        for _ in range(n):
+            i = _bisect(cuts, a, b, d) - 1
+            if not 0 <= i < len(taus):
+                raise DomainError("point %s outside domain [%s, %s)" % (x, *self.domain()))
+            word += letters[i]
+            a, b = a + taus[i][0], b + taus[i][1]
+        return word
 
     def _induced(self, lo: tuple, hi: tuple, order, row, pieces) -> tuple:
         """First-return map on [lo, hi) from the declared order and row and
         one (start, width) piece of pairs per letter of the order, checked: it
         ends at hi, each piece starts at its letter's left end, moves rigidly
         and lands on its letter's image slot.  Returns it and the itineraries."""
-        t2 = self._child(order, row, lo, [w for _, w in pieces])
-        tiled = t2._cuts[-1] == hi and [s for s, _ in pieces] == list(t2._cuts[:-1])
-        check(tiled, "pieces do not tile the sub-domain")
+        starts, widths = zip(*pieces)
+        t2 = self._child(order, row, lo, widths)
+        check(starts == t2._cuts[:-1] and t2._cuts[-1] == hi, "pieces do not tile the sub-domain")
         capped = "first-return walk exceeded %d steps"
-        landings = self._walk(self._frame, lo, hi, pieces, _WALK_CAP, capped)
-        slots = dict(zip(t2._rank, t2._image_cuts))  # letter index -> its slot's left end
-        landed = [point for point, _ in landings] == [slots[i] for i in range(len(slots))]
+        points, words = self._walk(self._frame, lo, hi, pieces, _WALK_CAP, capped)
+        # slot j holds letter rank[j], whose piece must land on the slot's left end
+        landed = tuple(map(points.__getitem__, t2._rank)) == t2._image_cuts[:-1]
         check(landed, "landings differ from the Rauzy row")
-        return t2, dict(zip(t2.alphabet.letters, [word for _, word in landings]))
+        return t2, dict(zip(t2.alphabet.letters, words))
 
     # -- geometry --------------------------------------------------------
 
@@ -363,9 +379,11 @@ class Iet:
     def _block_spans(self) -> dict:
         """Each invariant block, a run whose row entries are its own letters,
         with its span as pairs; it starts and ends at cuts both tilings share."""
-        base, rank, cuts = self.alphabet.letters, self._rank, self._cuts
+        base, rank, cuts, image = self.alphabet.letters, self._rank, self._cuts, self._image_cuts
+        if not any(map(eq, cuts[1:-1], image[1:-1])):  # only the ends: no proper block
+            return {}
         k = len(base)
-        common = [i for i in range(k + 1) if cuts[i] == self._image_cuts[i]]
+        common = [i for i in range(k + 1) if cuts[i] == image[i]]
         out = {}
         for m, i in enumerate(common):
             for j in common[m + 1 :]:
@@ -426,11 +444,12 @@ class Iet:
         )
 
     def to_json(self) -> dict:
+        d, n = self._frame  # rendered from the pairs, as chain JSON renders its ends
         return {
             "alphabet": str(self.alphabet),
-            "lengths": {x: str(self.lengths[x]) for x in self.alphabet},
+            "lengths": {x: _text(a, b, d, n) for x, (a, b) in zip(self.alphabet, self._widths)},
             "permutation": self.perm.one_line(),
-            "origin": str(self.origin),
+            "origin": _text(*self._cuts[0], d, n),
         }
 
 

@@ -16,6 +16,7 @@ the kinds, orders, rows and substitutions.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -51,15 +52,11 @@ class StepRecord:
     glue: Optional[tuple] = None
 
     def to_json(self) -> dict:
-        return self._json({})
-
-    def _json(self, texts: dict) -> dict:
-        """The JSON, domain ends rendered through texts, shared by a chain."""
         out = {
             "kind": self.kind,
             "alphabet": str(self.after.alphabet),
             "permutation": self.after.perm.one_line(),
-            "interval": self.after._span_text(texts),
+            "interval": self.after._span_text(),
             "morphism": dict(self.morphism.rules),
         }
         if self.block is not None:
@@ -83,50 +80,53 @@ def _step(t: Iet, side: str) -> StepRecord:
     letters, row = t.alphabet.letters, t.perm.images
     if len(letters) < 2:
         raise DomainError("need at least two letters to step")
+    pieces = t._pieces()  # in the order of letters, read mirrored on the left
     if not right:
         letters, row = letters[::-1], row[::-1]
+        pieces.reverse()
     last, pk = letters[-1], row[-1]
     if pk == last:
         raise DomainError(
             "%s step blocked: %s slot holds its own letter" % (side, "last" if right else "first")
         )
-    spans = t._pieces()
-    (lo, hi), (ak, lk), (ab, lb) = t._span(), spans[last], spans[pk]
+    i = letters.index(pk)
+    (lo, hi), (ak, lk), (ab, lb) = t._span(), pieces[-1], pieces[i]
     c = t._cmp(lk, lb)
     if c > 0:
         kind, cut = "top", lb
         new_order = letters
-        i = row.index(last) + 1
-        expected_row = row[:i] + (pk,) + row[i:-1]
-        moved = {last: (ak if right else t._add(ak, lb), t._add(lk, lb, -1))}
+        j = row.index(last) + 1
+        expected_row = row[:j] + (pk,) + row[j:-1]
+        pieces[-1] = (ak if right else t._add(ak, lb), t._add(lk, lb, -1))
     elif c < 0:
         kind, cut = "bottom", lk
-        i = letters.index(pk) + 1
-        new_order = letters[:i] + (last,) + letters[i:-1]
+        new_order = letters[: i + 1] + (last,) + letters[i + 1 : -1]
         expected_row = row
         rest = t._add(lb, lk, -1)
         if right:
-            moved = {pk: (ab, rest), last: (t._add(ab, rest), lk)}
+            moved = [(ab, rest), (t._add(ab, rest), lk)]
         else:
-            moved = {last: (ab, lk), pk: (t._add(ab, lk), rest)}
+            moved = [(t._add(ab, lk), rest), (ab, lk)]
+        pieces[i:] = moved + pieces[i + 1 : -1]
     else:
         kind, cut = "merge", lk
         new_order = letters[:-1]
         expected_row = tuple(pk if y == last else y for y in row[:-1])
-        moved = {}
-    rules = {x: x for x in new_order}  # top, merge: pk -> pk last; bottom: last -> pk last
+        del pieces[-1]
+    rules = dict(zip(new_order, new_order))  # top, merge: pk -> pk last; bottom: last -> pk last
     rules[last if c < 0 else pk] = pk + last
     if right:
         window, name = (lo, t._add(hi, cut, -1)), "z_interval"
     else:
         window, name = (t._add(lo, cut), hi), "y_interval"
         new_order, expected_row = new_order[::-1], expected_row[::-1]
+        pieces.reverse()
     check(window == t._window(right), "step window differs from " + name)
-    spans.update(moved)
-    pieces = [spans[x] for x in new_order]
     t2, itineraries = t._induced(*window, new_order, expected_row, pieces)
-    morphism = LetterMorphism(t2.alphabet, t.alphabet, itineraries)
-    check(morphism.rules == rules, "itineraries differ from the substitution")
+    check(itineraries == rules, "itineraries differ from the substitution")
+    # the equality proves what the constructor would check: one non-empty
+    # word of t's letters per letter of t2, in t2's order
+    morphism = LetterMorphism._proven(t2.alphabet, t.alphabet, itineraries)
     return StepRecord(side + "_" + kind, t, t2, morphism)
 
 
@@ -162,9 +162,10 @@ def split(t: Iet, block, branch: str) -> StepRecord:
         origin = bhi if blo == lo else lo
         if blo != lo and bhi != hi:
             glue = (t._value(blo), t._value(t._add(bhi, blo, -1)))
-    pieces, row = t._pieces(), tuple(y for y in t.perm.images if y in kept)
-    t2 = t._child(kept, row, origin, [pieces[x][1] for x in kept])
-    inclusion = LetterMorphism(kept, t.alphabet, {x: x for x in kept})
+    row = tuple(y for y in t.perm.images if y in kept)
+    widths = [width for x, (_, width) in zip(t.alphabet, t._pieces()) if x in kept]
+    t2 = t._child(kept, row, origin, widths)
+    inclusion = LetterMorphism._proven(t2.alphabet, t.alphabet, {x: x for x in kept})
     return StepRecord("split", t, t2, inclusion, block=letters, branch=branch, glue=glue)
 
 
@@ -185,7 +186,7 @@ def first_return_point(t: Iet, x: FieldValue, lo, hi) -> ReturnVisit:
         raise DomainError("point %s outside window [%s, %s)" % (x, lo, hi))
     capped = "no return to the window within %d steps"
     d, m, (x, lo, hi) = t._on_frame(x, lo, hi)
-    [((a, b), word)] = t._walk((d, m), lo, hi, [(x, (0, 0))], _ORBIT_CAP, capped)
+    [(a, b)], [word] = t._walk((d, m), lo, hi, [(x, (0, 0))], _ORBIT_CAP, capped)
     return ReturnVisit(FieldValue(a, b, d, m), len(word), word)
 
 
@@ -205,11 +206,10 @@ class InductionChain:
         return tuple(r.kind for r in self.records)
 
     def to_json(self) -> dict:
-        texts: dict = {}  # each distinct domain end rendered once
         return {
             "word": self.word,
             "target": [str(v) for v in self.target],
-            "steps": [r._json(texts) for r in self.records],
+            "steps": [r.to_json() for r in self.records],
             "final": self.final.to_json(),
             "morphism": self.morphism.to_json(),
         }
@@ -231,13 +231,16 @@ def induce_to_cylinder(t: Iet, word: str, max_steps: int = 200) -> InductionChai
     cur, records = t, []
     while cur._span() != (tlo, thi):
         if len(records) >= max_steps:
+            kinds = sorted(Counter(rec.kind for rec in records).items())
+            steps = ", ".join("%s %d" % item for item in kinds) or "none"
             raise CapExceeded(
-                "induction did not reach the cylinder within %d steps" % max_steps,
+                "induction did not reach the cylinder within %d steps; word %r; steps by kind: %s;"
+                " domain reached [%s, %s)" % (max_steps, word, steps, *cur._span_text()),
                 max_steps,
             )
-        spans = cur._block_spans()
-        exact = next((b for b, span in spans.items() if span == (tlo, thi)), None)
-        if exact is not None:
+        spans = cur._block_spans()  # empty unless the tilings share an interior cut
+        exact = spans and next((b for b, span in spans.items() if span == (tlo, thi)), None)
+        if exact:
             rec = split(cur, exact, "block")
         else:
             if cur._cmp(thi, cur._window(True)[1]) <= 0:
@@ -246,9 +249,9 @@ def induce_to_cylinder(t: Iet, word: str, max_steps: int = 200) -> InductionChai
                 inside = cur._cmp(tlo, cur._window(False)[0]) >= 0
                 check(inside, "cylinder escapes both induction windows")
                 side, ext = "left", cur.alphabet.letters[0]
-            avoiding = [b for b, (lo, hi) in spans.items()  # blocks apart from the target
-                        if cur._cmp(hi, tlo) <= 0 or cur._cmp(thi, lo) <= 0]
-            if any(ext in b for b in avoiding):
+            avoiding = spans and [b for b, (lo, hi) in spans.items()  # apart from the target
+                                  if cur._cmp(hi, tlo) <= 0 or cur._cmp(thi, lo) <= 0]
+            if avoiding and any(ext in b for b in avoiding):
                 b = min(avoiding, key=lambda bb: (len(bb), cur.alphabet.index(bb[0])))
                 rec = split(cur, b, "complement")
                 blo, bhi = spans[b]
@@ -259,7 +262,7 @@ def induce_to_cylinder(t: Iet, word: str, max_steps: int = 200) -> InductionChai
                 rec = right_step(cur) if side == "right" else left_step(cur)
         records.append(rec)
         cur = rec.after
-    widths = [width for _, width in cur._pieces().values()]
+    widths = [width for _, width in cur._pieces()]
     final = cur if tlo == origin else cur._child(cur.alphabet, cur.perm.images, origin, widths)
     # compose the records' rules once, outermost first, and check the result
     rules = {x: x for x in t.alphabet}

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coding import language, left_return_words
+from .coding import _left_returns_by_prefix, language
 from .errors import DomainError
 from .iet import Iet
 from .induction import first_return_point, induce_to_cylinder
@@ -83,9 +83,9 @@ def _factor_runs(t: Iet, word_len: int, return_len: int):
         raise DomainError("return length must be at least 1, got %d" % return_len)
     lang = language(t, return_len + word_len)
     for n in range(1, word_len + 1):
+        returns = _left_returns_by_prefix(lang, n, return_len)  # one pass per level
         for w in lang.words_of_length(n):
-            words, complete = left_return_words(lang, w, return_len)
-            yield w, words, complete
+            yield w, *returns.get(w, (frozenset(), True))
 
 
 def _clustering_report(kind: str, t: Iet, word_len: int, return_len: int, clusters):

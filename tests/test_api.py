@@ -52,6 +52,23 @@ def test_tracer_sees_every_induction_step(monkeypatch):
     assert traced.calls["induction.right_step"] + traced.calls["induction.left_step"] == 3
 
 
+def test_tracer_sees_the_verify_layer(monkeypatch, capsys):
+    """`verify.self_s` is read from the report functions' spans, so the CLI
+    must look its check up on the verify module when the check runs."""
+    monkeypatch.syspath_prepend(BENCH)
+    import tracer
+
+    traced = tracer.Tracer()
+    try:
+        traced.install()
+        argv = ["verify", "--lengths", "a=1/3,b=1/3,c=1/3", "--row", "cba", "--format", "json"]
+        assert ietbwt.cli.main(argv) == 0
+    finally:
+        traced.uninstall()
+    assert traced.calls["verify.verify_return_clustering"] == 1
+    assert traced.module_self("verify") > 0
+
+
 def test_only_iet_reads_the_integer_frame():
     """The frame's pairs and their helpers have one owner: no other module
     imports an underscore name from .exact or .iet, or reads a frame

@@ -482,20 +482,27 @@ def test_orbit(capsys):
 
 
 def test_orbit_walks_once(capsys, monkeypatch):
+    from ietbwt.exact import parse_value
     from ietbwt.iet import Iet
 
     calls = []
-    letter_at = Iet.letter_at
+    coding = Iet._coding
 
-    def counted(self, x):
-        calls.append(x)
-        return letter_at(self, x)
+    def counted(self, x, n):
+        calls.append((x, n))
+        return coding(self, x, n)
 
-    monkeypatch.setattr(Iet, "letter_at", counted)
+    monkeypatch.setattr(Iet, "_coding", counted)
     data = run_json(capsys, ["orbit"] + RAT2 + ["--point", "1/7", "--steps", "100"])
-    assert len(calls) == 100
+    x = parse_value("1/7")
+    assert calls == [(x, 100)]
     assert len(data["word"]) == len(data["points"]) == 100
-    assert data["points"] == [str(x) for x in calls]
+    t, points = Iet("ab", {"a": parse_value("1/3"), "b": parse_value("2/3")}, "ba"), []
+    for letter in data["word"]:
+        assert t.letter_at(x) == letter
+        points.append(str(x))
+        x = t.apply(x)
+    assert data["points"] == points
 
 
 def test_language_periodic(capsys):
@@ -739,6 +746,26 @@ def test_cap_exceeded_exits_2(capsys, e5_path):
     )
     assert code == 2
     assert "cap" in err
+
+
+def test_induction_cap_names_the_factor(capsys):
+    """The step cap on a map whose factor dbd needs more than 200 steps
+    still exits 2, and the message names the factor, the steps it took by
+    kind and the domain it reached."""
+    lengths = "a=-2/3+1/2*sqrt(5),b=3/2-1/4*sqrt(5),c=7/6,d=1/6+1/2*sqrt(5)"
+    argv = ["verify", "--lengths", lengths, "--row", "dabc", "--origin", "5/6-1/4*sqrt(5)",
+            "--check", "induction", "--word-len", "3"]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    prefix = "cap exceeded: induction did not reach the cylinder within 200 steps; "
+    assert err.startswith(prefix) and err.endswith(")\n"), err
+    word, kinds, domain = err[len(prefix) : -1].split("; ")
+    assert word == "word 'dbd'"
+    counts = dict(item.split(" ") for item in kinds[len("steps by kind: ") :].split(", "))
+    assert kinds.startswith("steps by kind: ") and sum(map(int, counts.values())) == 200
+    assert set(counts) <= {side + "_" + k for side in ("left", "right")
+                           for k in ("top", "bottom", "merge")} | {"split"}
+    assert domain == "domain reached [-377/6 + 119/4*sqrt(5), 3 + 1/2*sqrt(5))"
 
 
 @pytest.mark.parametrize("argv, expected", GOLDEN_TEXT)

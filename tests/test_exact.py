@@ -12,6 +12,7 @@ import pytest
 from ietbwt.errors import DomainError
 from ietbwt.exact import (
     FieldValue,
+    _text,
     compare,
     make_quadratic,
     make_rational,
@@ -567,6 +568,20 @@ class TestRendering:
         assert str(SQRT5) == "1*sqrt(5)"
         assert str(-SQRT5) == "-1*sqrt(5)"
         assert str(make_rational(0)) == "0"
+
+    def test_pair_text_matches_str(self):
+        """_text renders integers that need not be in lowest terms as str
+        renders the value they make: unreduced, negative, zero and rational
+        pairs, also a zero b over a radicand."""
+        assert _text(-12, 6, 5, 18) == "-2/3 + 1/3*sqrt(5)"
+        assert _text(0, -9, 2, 6) == "-3/2*sqrt(2)"
+        assert _text(6, 0, 5, 4) == "3/2" and _text(0, 0, 5, 7) == "0"
+        rng = random.Random(26)
+        cases = [(rng.randint(-40, 40) * g, rng.randint(-40, 40) * g * bool(d), d,
+                  rng.randint(1, 12) * g) for d in (0, 2, 5) for g in (1, 2, 6) for _ in range(40)]
+        for a, b, d, n in cases + [(0, 0, 0, 1), (0, 0, 5, 3), (10, 0, 5, 5), (-7, 7, 5, 7)]:
+            v = FieldValue(a, b, d, n)
+            assert _text(a, b, d, n) == str(v) == _fraction_str(v), (a, b, d, n)
 
 
 def _fraction_str(v: FieldValue) -> str:

@@ -2,16 +2,18 @@
 
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from math import isqrt
 
 import pytest
 
+from ietbwt import iet as iet_module
 from ietbwt.alphabet import Alphabet, Perm
 from ietbwt.coding import trajectory
 from ietbwt.errors import DomainError
 from ietbwt.exact import FieldValue, make_quadratic, make_rational
-from ietbwt.induction import ReturnVisit, first_return_point
+from ietbwt.induction import ReturnVisit, first_return_point, induce_to_cylinder
 from ietbwt.iet import (
     Connection,
     Iet,
@@ -28,6 +30,7 @@ from conftest import (
     fv,
     make_e5,
     make_sym4,
+    random_quadratic_iet,
     random_rational_iet,
 )
 
@@ -139,6 +142,34 @@ class TestBlocks:
 
     def test_no_blocks_for_golden(self, golden):
         assert golden.invariant_blocks() == ()
+
+    def test_block_spans_shortcut_matches_the_scan(self):
+        """_block_spans returns at once when the two tilings share only the
+        domain's ends; on seeded rational, Q(sqrt 5) and discrete maps and
+        their induction chains it equals the scan over every pair of shared
+        cuts, on maps with blocks, with no shared interior cut, and with a
+        shared interior cut but no block."""
+
+        def scan(t):
+            base, k = t.alphabet.letters, len(t.alphabet)
+            common = [i for i in range(k + 1) if t._cuts[i] == t._image_cuts[i]]
+            return {base[i:j]: (t._cuts[i], t._cuts[j]) for i in common for j in common
+                    if i < j and (i, j) != (0, k) and sorted(t._rank[i:j]) == list(range(i, j))}
+
+        rng = random.Random(26)
+        maps = [random_rational_iet(rng, rng.randint(2, 5)) for _ in range(60)]
+        maps += [random_quadratic_iet(rng, rng.randint(2, 5)) for _ in range(30)]
+        maps += [diet_to_iet(diet_spec([rng.randint(1, 4) for _ in range(k)], row))
+                 for k, row in ((2, "ba"), (3, "cba"), (3, "acb"), (4, "badc"), (4, "dcba"))]
+        maps += [rec.after for t in maps[:20] for w in "ab"
+                 for rec in induce_to_cylinder(t, w).records if len(rec.after.alphabet) > 1]
+        seen = Counter()
+        for t in maps:
+            want = scan(t)
+            assert t._block_spans() == want, t
+            shared = any(t._cuts[i] == t._image_cuts[i] for i in range(1, len(t.alphabet)))
+            seen["blocks" if want else "shared, no block" if shared else "ends only"] += 1
+        assert len(seen) == 3, seen
 
     def test_invariant_block_membership(self, e5):
         blocks = e5.invariant_blocks()
@@ -278,6 +309,31 @@ class TestGeometryOracle:
         assert first_return_point(t, x, lo, hi) == ReturnVisit(apply(x), 1, want[:1])
         assert t.apply(x) == apply(x) and t.apply_inverse(x) == apply_inverse(x)
         assert frames == []
+
+    def test_a_trajectory_scales_once(self, monkeypatch):
+        """A k/97 point's orbit is walked at its own scale: the cuts and the
+        translations are scaled once for the whole trajectory, not once per
+        letter, and the letters are the scan's."""
+        scaled = []
+
+        def counted(pairs, s):
+            scaled.append(s)
+            return scale(pairs, s)
+
+        scale = iet_module._scale
+        monkeypatch.setattr(iet_module, "_scale", counted)
+        for name in sorted(self.EXCHANGES):
+            t = self.EXCHANGES[name]()
+            _, _, letter_at, apply, _ = _scan_oracle(t)
+            lo, hi = t.domain()
+            for k in (1, 41, 96):
+                x = lo + (hi - lo) * Fraction(k, 97)
+                want, p = "", x
+                for _ in range(60):
+                    want, p = want + letter_at(p), apply(p)
+                scaled.clear()
+                assert trajectory(t, x, 60) == want, (name, k)
+                assert len(scaled) == 2 and all(s % 97 == 0 for s in scaled), (name, k, scaled)
 
     def test_first_return_reads_each_letter_once(self):
         """The walk's itinerary is the coding of x up to its return time,

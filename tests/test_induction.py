@@ -258,9 +258,12 @@ def test_left_step_matches_mirrored_right_step():
 
 
 def test_one_map_and_one_morphism_per_step(e5, monkeypatch):
-    # a map is built by the public constructor or on its parent's frame
+    # a map is built by the public constructor or on its parent's frame, a
+    # morphism by its constructor or from rules a step or split has proven
     counts = Counter()
-    for cls, builder in ((Iet, "__init__"), (Iet, "_child"), (LetterMorphism, "__init__")):
+    builders = ((Iet, "__init__"), (Iet, "_child"), (LetterMorphism, "__init__"),
+                (LetterMorphism, "_proven"))
+    for cls, builder in builders:
 
         def counted(self, *args, _build=getattr(cls, builder), _name=cls.__name__, **kwargs):
             counts[_name] += 1
@@ -358,6 +361,30 @@ def test_declared_row_is_checked_under_optimize():
     t = Iet("ab", {"a": half, "b": half}, "ba")
     t2, words = t._induced((0, 0), (2, 0), "ab", "ba", [((0, 0), (1, 0)), ((1, 0), (1, 0))])
     assert t2.perm.images == ("b", "a") and words == {"a": "a", "b": "b"}
+
+
+def test_substitution_is_checked_under_optimize():
+    """A step whose walks report one itinerary too long fails its
+    substitution check, also under python -O: the morphism is built from
+    the itineraries only after they equal the substitution."""
+    code = "\n".join([
+        "from ietbwt import induction",
+        "from ietbwt.errors import InvariantError",
+        "from ietbwt.exact import make_rational as r",
+        "from ietbwt.iet import Iet",
+        "t = Iet('abc', {'a': r(1, 2), 'b': r(1, 3), 'c': r(1, 6)}, 'cba')",
+        "induced = Iet._induced",
+        "def planted(self, *args):",
+        "    t2, words = induced(self, *args)",
+        "    words['a'] += 'a'",
+        "    return t2, words",
+        "Iet._induced = planted",
+        "try:",
+        "    induction.right_step(t)",
+        "except InvariantError as exc:",
+        "    print(__debug__, exc)",
+    ])
+    assert _run_optimized(code) == "False itineraries differ from the substitution"
 
 
 # -- splits --------------------------------------------------------------
