@@ -410,36 +410,41 @@ _COMMANDS = {
 }
 
 
+def _add_arguments(parser, arguments) -> None:
+    for flag, kw in arguments:
+        parser.add_argument(flag, **kw)
+
+
 @cache
 def build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser for one subcommand, or for all of them when command is
-    None, built once per process.  A one-subcommand parser still lists
-    every name in its usage line, so its usage errors read as the full
-    parser's do; the full parser keeps argparse's metavar, which its
-    choice errors call 'command'."""
+    """The parser of one subcommand's arguments, or the full parser when
+    command is None, built once per process.  A subcommand's parser is the
+    one the full parser would add for it: same prog, help and usage errors."""
+    if command is not None:
+        parser = _Parser(prog="ietbwt " + command)
+        _add_arguments(parser, _COMMANDS[command][2])
+        return parser
     parser = _Parser(prog="ietbwt", description=__doc__)
-    subs = parser.add_subparsers(
-        dest="command",
-        required=True,
-        metavar=None if command is None else "{%s}" % ",".join(_COMMANDS),
-    )
+    subs = parser.add_subparsers(dest="command", required=True)
     for name, (help, _, arguments) in _COMMANDS.items():
-        if command in (None, name):
-            sub = subs.add_parser(name, help=help)
-            for flag, kw in arguments:
-                sub.add_argument(flag, **kw)
+        _add_arguments(subs.add_parser(name, help=help), arguments)
     return parser
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # A call whose first argument names a subcommand needs only that
-    # subparser.  Any other call (no arguments, --help, an unknown name, an
-    # option before the name) gets the full parser, whose help or usage
-    # error it prints.
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    # A call whose first argument names a subcommand is parsed by that
+    # subcommand's parser alone, and the full parser reports what it does not
+    # know.  Any other call (no arguments, --help, an unknown name, an option
+    # before the name) gets the full parser, whose help or usage error it prints.
+    if argv and argv[0] in _COMMANDS:
+        args, unknown = build_parser(argv[0]).parse_known_args(argv[1:])
+        if unknown:
+            build_parser().error("unrecognized arguments: %s" % " ".join(unknown))
+        args.command = argv[0]
+    else:
+        args = build_parser().parse_args(argv)
     try:
         data, lines = _COMMANDS[args.command][1](args)
     except DomainError as exc:
@@ -448,6 +453,9 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print("cap exceeded: %s" % exc, file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory in %s" % args.command, file=sys.stderr)
+        return 1
     if args.format == "json":
         print(json.dumps(data, sort_keys=True, indent=2))
     else:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .alphabet import Alphabet, LettersLike
 from .errors import DomainError
@@ -56,56 +57,48 @@ def cylinders(t: Iet, depth: int) -> CylinderTable:
     ))
 
 
-def _cylinder_ends(t: Iet, word: str) -> tuple:
-    """The ends of I_w as frame pairs, pulled back right to left one letter
-    at a time along the word's suffixes."""
-    *_, level = t._levels(len(word), word)
-    if word not in level:
-        raise DomainError("empty cylinder for %r" % word)
-    return level[word]
-
-
 def cylinder(t: Iet, word: str) -> Interval:
-    """The interval I_w coded by the word."""
-    return tuple(map(t._value, _cylinder_ends(t, word)))
+    """The interval I_w coded by the word, pulled back right to left."""
+    return tuple(map(t._value, t._cylinder(word)))
 
 
 @dataclass(frozen=True)
 class LanguageSample:
-    """Every factor of a language up to the bound.  The samples built here
-    (language, language_of_periodic, diet_language) are factor-closed, and
-    each word shorter than the bound is a prefix of a word of the bound's
-    length, so the longest words alone show every way a word continues."""
+    """Every factor of a language up to the bound, grouped by length: levels[n]
+    holds the words of length n, sorted.  The samples built here (language,
+    language_of_periodic, diet_language) are factor-closed, and each word
+    shorter than the bound is a prefix of a word of the bound's length, so the
+    longest words alone show every way a word continues."""
 
     alphabet: tuple[str, ...]
     bound: int
-    words: frozenset
+    levels: tuple[tuple[str, ...], ...]
+
+    @cached_property
+    def words(self) -> frozenset:
+        return frozenset(chain.from_iterable(self.levels))
 
     def __contains__(self, word: str) -> bool:
         return word in self.words
 
-    @cached_property
-    def _by_length(self) -> dict[int, tuple[str, ...]]:
-        groups: dict = {}
-        for w in self.words:
-            groups.setdefault(len(w), []).append(w)
-        # from a sorted list, not an iterator: a tuple grown from an iterator is resized,
-        # and once freed stays on CPython's free list for that size until a full collection
-        return {n: tuple(sorted(ws)) for n, ws in groups.items()}
-
     def words_of_length(self, n: int) -> tuple[str, ...]:
-        return self._by_length.get(n, ())
+        return self.levels[n] if 0 <= n < len(self.levels) else ()
+
+
+def _sorted_levels(groups) -> tuple:
+    # from a sorted list, not an iterator: a tuple grown from an iterator is resized,
+    # and once freed stays on CPython's free list for that size until a full collection
+    return tuple(tuple(sorted(ws)) for ws in groups)
 
 
 def language(t: Iet, bound: int) -> LanguageSample:
     """All coding words of length up to the bound: the words of the
     cylinder levels, whose ends stay integer pairs."""
-    words = frozenset(w for level in t._levels(bound) for w in level)
-    return LanguageSample(t.alphabet.letters, bound, words)
+    return LanguageSample(t.alphabet.letters, bound, _sorted_levels(t._levels(bound)))
 
 
-def language_of_periodic(word: str, bound: int) -> LanguageSample:
-    """Factors of the periodic sequence word^w, up to the bound."""
+def _periodic_levels(word: str, bound: int) -> list:
+    """The sets of factors of word^w of each length up to the bound."""
     if not word:
         raise DomainError("empty word")
     if bound < 0:
@@ -114,23 +107,22 @@ def language_of_periodic(word: str, bound: int) -> LanguageSample:
     if size > sys.maxsize:
         raise DomainError("periodic text of %d letters exceeds %d" % (size, sys.maxsize))
     reps = word * (size // len(word))
-    words = {""}
-    for n in range(1, bound + 1):
-        for i in range(len(word)):
-            words.add(reps[i : i + n])
-    return LanguageSample(tuple(sorted(set(word))), bound, frozenset(words))
+    return [{reps[i : i + n] for i in range(len(word))} for n in range(bound + 1)]
+
+
+def language_of_periodic(word: str, bound: int) -> LanguageSample:
+    """Factors of the periodic sequence word^w, up to the bound."""
+    levels = _sorted_levels(_periodic_levels(word, bound))
+    return LanguageSample(tuple(sorted(set(word))), bound, levels)
 
 
 def diet_language(spec: DietSpec, bound: int) -> LanguageSample:
     """Factors of the periodic orbits of a discrete exchange: the union of
     the periodic languages of its cycle words."""
-    word = spec.word()
+    word = " " + spec.word()  # positions count from 1
     _, cycles = diet_action(spec)
-    words: set = set()
-    for cyc in cycles:
-        cycle_word = "".join(word[i - 1] for i in cyc)
-        words |= language_of_periodic(cycle_word, bound).words
-    return LanguageSample(spec.letters, bound, frozenset(words))
+    per_cycle = [_periodic_levels("".join(map(word.__getitem__, cyc)), bound) for cyc in cycles]
+    return LanguageSample(spec.letters, bound, _sorted_levels(map(set.union, *per_cycle)))
 
 
 def left_return_words(

@@ -75,7 +75,7 @@ def _extensions(lang: LanguageSample, n: int) -> dict:
 
 def _graph(letters: tuple, word: str, lefts, rights, pairs) -> ExtensionGraph:
     """A table entry as a graph, its vertices and edges in alphabet order."""
-    # tuples from lists, not generators (see LanguageSample._by_length)
+    # tuples from lists, not generators (see coding._sorted_levels)
     left = tuple([a for a in letters if a in lefts])
     right = tuple([b for b in letters if b in rights])
     edges = tuple([(a, b) for a in left for b in right if (a, b) in pairs])

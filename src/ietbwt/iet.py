@@ -218,42 +218,60 @@ class Iet:
             raise DomainError("point %s outside domain [%s, %s)" % (x, *self.domain()))
         return i
 
-    def _levels(self, depth: int, word: str = ""):
-        """Yield cylinder levels 0 to depth, each {w: (lo, hi)} with frame
-        pairs as ends, from I_xw = T^-1(T(I_x) ∩ I_w); given a word, level m
-        keeps only its suffix of length m.  For [lo, hi) the first image slot
-        that ends after lo starts at or before it, and every later slot starts
-        where the one before ended, up to the slot that reaches hi: only the
-        first and the last piece are cut, and the others are all of I_x."""
+    def _levels(self, depth: int):
+        """Yield cylinder levels 0 to depth, each {w: (lo, hi)} left to right with
+        frame pairs as ends, from I_xw = T^-1(T(I_x) ∩ I_w).  A level tiles the
+        domain, so one sweep meets the image slots in order: [lo, hi) starts in
+        the slot where the interval before it ended, and the sign test that finds
+        its last piece also moves to the next slot when hi is that slot's end.
+        Only end pieces are cut.  A letter's children keep the sweep's order, so
+        the next level is the letters' runs in alphabet order."""
         if depth < 0:
             raise DomainError("depth must be non-negative")
-        d = self._frame[0]
-        cuts, ends = self._cuts, self._image_cuts[1:]
+        d, k, letters, cuts = self._frame[0], len(self._rank), self.alphabet.letters, self._cuts
         slots = [
-            (self.alphabet.letters[i], cuts[i], cuts[i + 1], end, self._tau[i])
-            for i, end in zip(self._rank, ends)
+            (i, letters[i], cuts[i + 1], end, self._tau[i])
+            for i, end in zip(self._rank, self._image_cuts[1:])
         ]
         level = {"": (cuts[0], cuts[-1])}
         yield level
-        for m in range(1, depth + 1):
-            nxt = {}
+        for _ in range(depth):
+            runs, j = [{} for _ in range(k)], 0
             for w, ((la, lb), (ha, hb)) in level.items():
-                first = True
-                for j in range(_bisect(ends, la, lb, d), len(slots)):
-                    x, xlo, xhi, (ea, eb), (ta, tb) = slots[j]
-                    last = _sign(ha - ea, hb - eb, d) <= 0
-                    nxt[x + w] = (
-                        (la - ta, lb - tb) if first else xlo,
-                        (ha - ta, hb - tb) if last else xhi,
-                    )
-                    if last:
+                i, x, xhi, (ea, eb), (ta, tb) = slots[j]
+                lo = la - ta, lb - tb
+                while True:
+                    c = _sign(ha - ea, hb - eb, d)
+                    if c >= 0:  # hi reaches the slot's end: the next piece is in the next slot
+                        j += 1
+                    if c <= 0:
+                        runs[i][x + w] = lo, (ha - ta, hb - tb)
                         break
-                    first = False
-            if word:
-                suffix = word[-m:]
-                nxt = {suffix: nxt[suffix]} if suffix in nxt else {}
-            yield nxt
-            level = nxt
+                    runs[i][x + w] = lo, xhi
+                    i, x, xhi, (ea, eb), (ta, tb) = slots[j]
+                    lo = cuts[i]
+            check(j == k, "cylinder level does not tile the domain")
+            level = runs[0]
+            for run in runs[1:]:
+                level.update(run)
+            yield level
+
+    def _cylinder(self, word: str) -> tuple:
+        """The ends of I_w as frame pairs, right to left: I_xv is I_v cut to
+        x's image slot and moved back by x's translation."""
+        image, letters, tau = self._image_cuts, self.alphabet.letters, self._tau
+        slots = {letters[i]: (image[j], image[j + 1], tau[i]) for j, i in enumerate(self._rank)}
+        lo, hi = self._span()
+        for x in reversed(word):
+            if x not in slots:
+                raise DomainError("empty cylinder for %r" % word)
+            start, end, move = slots[x]
+            lo = start if self._cmp(lo, start) < 0 else lo
+            hi = end if self._cmp(hi, end) > 0 else hi
+            if self._cmp(hi, lo) <= 0:
+                raise DomainError("empty cylinder for %r" % word)
+            lo, hi = self._add(lo, move, -1), self._add(hi, move, -1)
+        return lo, hi
 
     def _walk(self, frame: tuple, lo: tuple, hi: tuple, pieces, cap: int, capped: str) -> tuple:
         """The landings and the itineraries of the (start, width) pieces, each
@@ -519,15 +537,16 @@ def diet_action(spec: DietSpec) -> tuple[tuple[int, ...], tuple[tuple[int, ...],
     row = spec.perm.images
     start = dict(zip(row, accumulate((size[y] for y in row), initial=1)))
     mapping = tuple(chain.from_iterable(range(start[x], start[x] + size[x]) for x in size))
+    succ = (0, *mapping)  # succ[i] is the image of i
     seen = bytearray(spec.size + 1)
     cycles = []
     for i in range(1, spec.size + 1):
         if not seen[i]:
-            cyc, j = [], i
-            while not seen[j]:
+            cyc, j = [i], succ[i]
+            while j != i:  # i itself is not met again: the scan has passed it
                 seen[j] = 1
                 cyc.append(j)
-                j = mapping[j - 1]
+                j = succ[j]
             cycles.append(tuple(cyc))
     return mapping, tuple(cycles)
 
@@ -542,7 +561,7 @@ def diet_to_iet(spec: DietSpec) -> Iet:
 
 def diet_lyndon_multiset(spec: DietSpec) -> tuple[str, ...]:
     """Sorted Lyndon representatives of the words read along each cycle."""
-    word = spec.word()
+    word = " " + spec.word()  # positions count from 1
     _, cycles = diet_action(spec)
-    reps = [lyndon_representative("".join(word[i - 1] for i in cyc)) for cyc in cycles]
+    reps = [lyndon_representative("".join(map(word.__getitem__, cyc))) for cyc in cycles]
     return tuple(sorted(reps))

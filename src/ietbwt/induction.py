@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .coding import LetterMorphism, _cylinder_ends
+from .coding import LetterMorphism
 from .errors import CapExceeded, DomainError, check
 from .exact import FieldValue
 from .iet import Iet, Interval
@@ -225,7 +225,7 @@ def induce_to_cylinder(t: Iet, word: str, max_steps: int = 200) -> InductionChai
         raise DomainError("step cap must be non-negative, got %d" % max_steps)
     for ch in word:
         t.alphabet.index(ch)
-    tlo, thi = _cylinder_ends(t, word)
+    tlo, thi = t._cylinder(word)
     target = (t._value(tlo), t._value(thi))
     origin = tlo  # a glue shift moves the target left; the final map moves back
     cur, records = t, []

@@ -34,9 +34,9 @@ def _resolve_order(order: OrderLike, *words: str) -> tuple[str, ...]:
     if not all(isinstance(ch, str) and len(ch) == 1 for ch in out):
         raise DomainError("letters must be single characters, got %r" % (out,))
     for w in words:
-        for ch in w:
-            if ch not in seen:
-                raise DomainError("letter %r not in order %r" % (ch, "".join(out)))
+        if not seen.issuperset(w):
+            ch = next(ch for ch in w if ch not in seen)
+            raise DomainError("letter %r not in order %r" % (ch, "".join(out)))
     return out
 
 
@@ -45,7 +45,7 @@ def rotations(word: str) -> tuple[str, ...]:
 
 
 def runs_of(s: str) -> tuple[tuple[str, int], ...]:
-    return tuple([(ch, sum(1 for _ in grp)) for ch, grp in groupby(s)])
+    return tuple([(ch, len(list(grp))) for ch, grp in groupby(s)])
 
 
 def _rotation_keys(words: Sequence[str], base: tuple[str, ...]) -> list[str]:
@@ -82,14 +82,25 @@ class BwtResult:
         return tuple(conj[p] for p in self.starts)
 
 
-def _transform(words: tuple[str, ...], base: tuple[str, ...]) -> BwtResult:
-    """Sort all rotations of the words stably by _rotation_keys and read
-    the letter before each start."""
+def _sort(words: tuple[str, ...], base: tuple[str, ...]) -> tuple[tuple[int, ...], str]:
+    """Sort all rotations of the words stably by _rotation_keys: their starts,
+    and the output, the letter before each start."""
     keys = _rotation_keys(words, base)
     starts = tuple(sorted(range(len(keys)), key=keys.__getitem__))
     before = "".join(w[-1] + w[:-1] for w in words)
-    output = "".join([before[p] for p in starts])
+    return starts, "".join([before[p] for p in starts])
+
+
+def _transform(words: tuple[str, ...], base: tuple[str, ...]) -> BwtResult:
+    starts, output = _sort(words, base)
     return BwtResult(words, base, output, runs_of(output), starts)
+
+
+def _bwt_output(word: str, order: OrderLike) -> str:
+    """The output of bwt(word, order) alone."""
+    if not word:
+        raise DomainError("empty word")
+    return _sort((word,), _resolve_order(order, word))[1]
 
 
 def bwt(word: str, order: OrderLike = None) -> BwtResult:
@@ -144,8 +155,10 @@ def lyndon_representative(word: str, order: OrderLike = None) -> str:
     """Least rotation under the letter order."""
     if not word:
         raise DomainError("empty word")
-    keys = _rotation_keys((word,), _resolve_order(order, word))
-    i = min(range(len(word)), key=keys.__getitem__)
+    ranks = {ord(ch): i for i, ch in enumerate(_resolve_order(order, word))}
+    text, n = word.translate(ranks) * 2, len(word)
+    least = min(text)  # only rotations starting with the least letter compete
+    i = text.find(min([text[i : i + n] for i in range(n) if text[i] == least]))
     return word[i:] + word[:i]
 
 
@@ -169,13 +182,13 @@ def expected_clustered_output(word: str, perm: Perm) -> str:
 def is_pi_clustering(word: str, perm: Perm) -> bool:
     """Whether the transform under the permutation's base order equals the
     run concatenation prescribed by the permutation."""
-    return bwt(word, perm.letters).output == expected_clustered_output(word, perm)
+    return _bwt_output(word, perm.letters) == expected_clustered_output(word, perm)
 
 
 def is_clustering(word: str, order: OrderLike = None) -> bool:
     """Whether each letter forms at most one run in the transform output."""
-    res = bwt(word, order)
-    return len(set(ltr for ltr, _ in res.runs)) == len(res.runs)
+    out = _bwt_output(word, order)
+    return all(ch * out.count(ch) in out for ch in set(out))
 
 
 def infer_clustering_permutation(

@@ -1,6 +1,5 @@
 """Command line behavior: outputs, formats, and exit codes."""
 
-import argparse
 import json
 import os
 import subprocess
@@ -9,6 +8,7 @@ import sys
 import pytest
 
 import ietbwt
+from ietbwt import cli
 from ietbwt.cli import build_parser, main
 
 from conftest import BAD_PERMUTATIONS, REPEATED_CYCLES
@@ -631,30 +631,64 @@ def test_usage_error_text(capsys, monkeypatch, argv, expected):
 
 @pytest.fixture
 def built(monkeypatch):
-    """The names of the subcommand parsers built from now on, starting
-    from an empty parser cache."""
-    names = []
-    add_parser = argparse._SubParsersAction.add_parser
+    """The progs of the parsers built from now on, starting from an empty
+    parser cache: a subcommand's parser reads "ietbwt <name>"."""
+    progs = []
+    init = cli._Parser.__init__
 
-    def counted(self, name, **kwargs):
-        names.append(name)
-        return add_parser(self, name, **kwargs)
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        progs.append(self.prog)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
     build_parser.cache_clear()
-    return names
+    yield progs
+    build_parser.cache_clear()  # no counted parser outlives the test
 
 
 def test_only_the_named_subcommand_is_built(capsys, built):
     assert run(capsys, ["bwt", "banana"]) == (0, "nnbaaa\n", "")
-    assert built == ["bwt"]
+    assert built == ["ietbwt bwt"]
 
 
 def test_each_parser_is_built_once(capsys, built):
     for _ in range(2):
         assert run(capsys, ["bwt", "banana"]) == (0, "nnbaaa\n", "")
         assert run(capsys, ["lyndon", "ba"]) == (0, "ab\n", "")
-    assert built == ["bwt", "lyndon"]
+    assert built == ["ietbwt bwt", "ietbwt lyndon"]
+
+
+def test_unknown_arguments_end_in_the_full_parsers_error(capsys, monkeypatch):
+    """A subcommand's parser leaves unknown arguments to the full parser,
+    whose usage line and error are printed as if it had parsed the call."""
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["verify"] + RAT2 + ["--bogus"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert (exc.value.code, *capsys.readouterr()) == (64, "", TOP_USAGE + UNRECOGNIZED)
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert (exc.value.code, *capsys.readouterr()) == (64, "", TOP_USAGE + UNRECOGNIZED)
+
+
+# each size-bearing command and the library call it makes
+OUT_OF_MEMORY = [
+    (["diet", "4,2,1/cba"], "diet_action"),
+    (["orbit"] + RAT2 + ["--point", "0"], "trajectory"),
+    (["language", "--periodic", "ab"], "language_of_periodic"),
+    (["cylinders"] + RAT2, "cylinders"),
+    (["bwt", "banana"], "bwt"),
+    (["ebwt", "ab", "b"], "ebwt"),
+]
+
+
+@pytest.mark.parametrize("argv, call", OUT_OF_MEMORY)
+def test_out_of_memory_exits_1(capsys, monkeypatch, argv, call):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, call, exhausted)
+    assert run(capsys, argv) == (1, "", "error: out of memory in %s\n" % argv[0])
 
 
 def test_main_reads_sys_argv(capsys, monkeypatch):

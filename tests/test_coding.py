@@ -1,11 +1,14 @@
 """Trajectories, cylinders, language samples, return words, morphisms."""
 
+import inspect
 import random
 import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 
+from ietbwt import iet as iet_module
 from ietbwt.alphabet import Alphabet
 from ietbwt.coding import (
     LetterMorphism,
@@ -18,9 +21,9 @@ from ietbwt.coding import (
     right_return_words,
     trajectory,
 )
-from ietbwt.errors import DomainError
-from ietbwt.exact import make_quadratic, make_rational
-from ietbwt.iet import Iet, diet_spec, diet_to_iet
+from ietbwt.errors import DomainError, InvariantError
+from ietbwt.exact import _sign, make_quadratic, make_rational
+from ietbwt.iet import Iet, _bisect, diet_spec, diet_to_iet
 
 from conftest import (
     make_e5,
@@ -73,6 +76,35 @@ def _naive_levels(t: Iet, depth: int) -> list:
                 nhi = min(xhi, hi - tau)
                 if nlo < nhi:
                     nxt[x + w] = (nlo, nhi)
+        levels.append(nxt)
+    return levels
+
+
+def _bisect_levels(t: Iet, depth: int) -> list:
+    """Cylinder levels on frame pairs as one bisection per interval finds
+    them: the first image slot that ends after lo, then every later slot up
+    to the one that reaches hi."""
+    d = t._frame[0]
+    cuts, ends = t._cuts, t._image_cuts[1:]
+    slots = [
+        (t.alphabet.letters[i], cuts[i], cuts[i + 1], end, t._tau[i])
+        for i, end in zip(t._rank, ends)
+    ]
+    levels = [{"": (cuts[0], cuts[-1])}]
+    for _ in range(depth):
+        nxt = {}
+        for w, ((la, lb), (ha, hb)) in levels[-1].items():
+            first = True
+            for j in range(_bisect(ends, la, lb, d), len(slots)):
+                x, xlo, xhi, (ea, eb), (ta, tb) = slots[j]
+                last = _sign(ha - ea, hb - eb, d) <= 0
+                nxt[x + w] = (
+                    (la - ta, lb - tb) if first else xlo,
+                    (ha - ta, hb - tb) if last else xhi,
+                )
+                if last:
+                    break
+                first = False
         levels.append(nxt)
     return levels
 
@@ -166,6 +198,45 @@ class TestCylinderOracle:
             assert list(levels) == _naive_levels(t, depth), t
             intervals += sum(len(lv) for lv in levels)
         assert intervals > 1000
+
+    def test_sweep_matches_bisection(self):
+        for t, depth in _seeded_exchanges():
+            assert list(t._levels(depth)) == _bisect_levels(t, depth), t
+
+    def test_levels_run_left_to_right(self):
+        """Each level lists its words left to right, each interval starting
+        where the one before ended: the order the next level's sweep needs."""
+        for t, depth in _seeded_exchanges():
+            span = t._span()
+            for level in t._levels(depth):
+                ends = list(level.values())
+                assert ends[0][0] == span[0] and ends[-1][1] == span[1], t
+                assert all(a[1] == b[0] for a, b in zip(ends, ends[1:])), t
+
+    def test_no_bisection_builds_a_level(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("bisection in a cylinder level")
+
+        monkeypatch.setattr(iet_module, "_bisect", refused)
+        for t, depth in _seeded_exchanges()[:6]:
+            levels = cylinders(t, depth).levels
+            assert list(levels) == _naive_levels(t, depth)
+            for w, iv in levels[-1].items():
+                assert cylinder(t, w) == iv
+
+    def test_a_sweep_that_stays_on_an_ended_slot_fails_the_tiling_check(self, monkeypatch):
+        """A planted defect: on an interval ending exactly on its slot's end
+        the sweep does not move to the next slot.  The tiling check is an
+        errors.check, so it fires under python -O too."""
+        source = textwrap.dedent(inspect.getsource(Iet._levels))
+        advance = "if c >= 0:"
+        assert source.count(advance) == 1
+        namespace = {}
+        exec(source.replace(advance, "if c > 0:"), vars(iet_module), namespace)
+        monkeypatch.setattr(Iet, "_levels", namespace["_levels"])
+        for t, _ in _seeded_exchanges():
+            with pytest.raises(InvariantError, match="cylinder level does not tile the domain"):
+                cylinders(t, 2)
 
     def test_single_cylinder_matches_table(self):
         for t, depth in _seeded_exchanges():

@@ -344,6 +344,7 @@ def test_extension_table_matches_probes_on_samples_not_factor_closed():
         if all(w[1:] in words and w[:-1] in words for w in words if w):
             continue  # factor-closed
         samples += 1
-        lang = LanguageSample(letters, bound, frozenset(words))
+        levels = tuple(tuple(sorted(w for w in words if len(w) == n)) for n in range(bound + 1))
+        lang = LanguageSample(letters, bound, levels)
         star_non_trees += _agree(lang, _order_pairs(rng, letters, letters[::-1]), (None, 0, 1))
     assert star_non_trees > 0  # stars that are not trees are decided from counts

@@ -1,5 +1,7 @@
 """Transforms, Lyndon tools, clustering inference and transport."""
 
+import itertools
+import os
 import random
 from functools import cmp_to_key
 
@@ -8,7 +10,7 @@ import pytest
 from ietbwt.alphabet import Perm
 from ietbwt.coding import LetterMorphism
 from ietbwt.errors import DomainError
-from ietbwt.iet import diet_lyndon_multiset, diet_spec
+from ietbwt.iet import diet_action, diet_lyndon_multiset, diet_spec
 from ietbwt.words import (
     bwt,
     clustering_transport,
@@ -198,6 +200,70 @@ class TestRotationSortOracle:
             for w in multiset:
                 self._check_bwt(w, spec.letters)
             self._check_ebwt(multiset, spec.letters)
+
+
+def _old_bwt_output(word, order):
+    """The last column of the rotations sorted as rank strings."""
+    text = word.translate({ord(ch): i for i, ch in enumerate(order)})
+    starts = sorted(range(len(word)), key=lambda i: text[i:] + text[:i])
+    return "".join(word[i - 1] for i in starts)
+
+
+def _old_is_clustering(word, order):
+    """Each letter makes at most one run of the transform's output."""
+    runs = [ch for ch, _ in itertools.groupby(_old_bwt_output(word, order))]
+    return len(set(runs)) == len(runs)
+
+
+def _old_lyndon_representative(word, order):
+    """The rotation that is least as a rank string, the first on ties."""
+    text = word.translate({ord(ch): i for i, ch in enumerate(order)})
+    i = min(range(len(word)), key=lambda i: text[i:] + text[:i])
+    return word[i:] + word[:i]
+
+
+class TestVerdictsFromTheSortedOutput:
+    """is_clustering, is_pi_clustering and lyndon_representative read the
+    rotation sort's output alone; they agree with the definitions by runs of
+    the transform and by the least rotation."""
+
+    def _check(self, word, order, perms):
+        base = tuple(sorted(set(word))) if order is None else order
+        assert is_clustering(word, order) == _old_is_clustering(word, base), (word, order)
+        assert lyndon_representative(word, order) == _old_lyndon_representative(word, base)
+        output = _old_bwt_output(word, base)
+        for pi in perms:
+            assert is_pi_clustering(word, pi) == (
+                output == expected_clustered_output(word, pi)
+            ), (word, pi)
+
+    def test_every_short_word_over_three_letters(self):
+        orders = [None, *itertools.permutations("abc")]
+        perms = {("a", "b", "c"): [Perm("abc", row) for row in itertools.permutations("abc")]}
+        clustered = 0
+        for n in range(1, 8):
+            for word in map("".join, itertools.product("abc", repeat=n)):
+                for order in orders:
+                    self._check(word, order, perms.get(order, ()))
+                clustered += is_clustering(word)
+        assert 0 < clustered < 3 ** 8
+
+    def test_every_cycle_word_of_the_benchmark_pool(self, monkeypatch):
+        monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "bench"))
+        import run
+        import workloads
+
+        workload = workloads.WORKLOADS["diet_ebwt"]
+        words = 0
+        for spec in workload.setup(run.DEFAULT_SEED, workload.params):
+            text = spec.word()
+            for cyc in diet_action(spec)[1]:
+                word = "".join(text[i - 1] for i in cyc)
+                self._check(word, spec.letters, [spec.perm])
+                self._check(word, None, ())
+                words += 1
+        assert words >= 450
 
 
 class TestPrimitivity:
