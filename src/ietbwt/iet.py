@@ -29,7 +29,6 @@ from typing import Iterable, Optional, Union
 from .alphabet import Alphabet, LettersLike, Perm
 from .errors import CapExceeded, DomainError, InvariantError, check
 from .exact import FieldValue, ZERO, _make, _sign, _text, value_from_json
-from .words import lyndon_representative
 
 Interval = tuple[FieldValue, FieldValue]
 
@@ -560,8 +559,14 @@ def diet_to_iet(spec: DietSpec) -> Iet:
 
 
 def diet_lyndon_multiset(spec: DietSpec) -> tuple[str, ...]:
-    """Sorted Lyndon representatives of the words read along each cycle."""
+    """Sorted Lyndon representatives of the words read along each cycle.
+
+    Each cycle's word is read from its least position, as diet_action lists
+    it, and that is already its least rotation: letters label the runs from
+    left to right, and positions with one letter move by one translation,
+    so p < q implies coding(p) <= coding(q) lexicographically.  A cycle's
+    codings are periodic with its length, so the least position's first
+    period is the least rotation."""
     word = " " + spec.word()  # positions count from 1
     _, cycles = diet_action(spec)
-    reps = [lyndon_representative("".join(map(word.__getitem__, cyc))) for cyc in cycles]
-    return tuple(sorted(reps))
+    return tuple(sorted(["".join(map(word.__getitem__, cyc)) for cyc in cycles]))

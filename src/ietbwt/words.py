@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, groupby
 from math import gcd
+from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
 from .alphabet import Alphabet, Perm
@@ -55,8 +56,11 @@ def _rotation_keys(words: Sequence[str], base: tuple[str, ...]) -> list[str]:
     comparing keys as strings is omega_compare; for one word, span is its
     length and a key is its rotation."""
     ranks = {ord(ch): i for i, ch in enumerate(base)}
-    lengths = set(map(len, words))
-    span = max(m + n - gcd(m, n) for m in lengths for n in lengths)
+    if len(words) == 1:
+        span = len(words[0])
+    else:
+        lengths = set(map(len, words))
+        span = max(m + n - gcd(m, n) for m in lengths for n in lengths)
     keys = []
     for w in words:
         n = len(w)
@@ -88,7 +92,7 @@ def _sort(words: tuple[str, ...], base: tuple[str, ...]) -> tuple[tuple[int, ...
     keys = _rotation_keys(words, base)
     starts = tuple(sorted(range(len(keys)), key=keys.__getitem__))
     before = "".join(w[-1] + w[:-1] for w in words)
-    return starts, "".join([before[p] for p in starts])
+    return starts, "".join(itemgetter(*starts)(before))
 
 
 def _transform(words: tuple[str, ...], base: tuple[str, ...]) -> BwtResult:
@@ -97,10 +101,13 @@ def _transform(words: tuple[str, ...], base: tuple[str, ...]) -> BwtResult:
 
 
 def _bwt_output(word: str, order: OrderLike) -> str:
-    """The output of bwt(word, order) alone."""
+    """The output of bwt(word, order) alone: the sorted keys' last letters,
+    each the letter before its rotation (equal keys end alike)."""
     if not word:
         raise DomainError("empty word")
-    return _sort((word,), _resolve_order(order, word))[1]
+    base = _resolve_order(order, word)
+    keys = sorted(_rotation_keys((word,), base))
+    return "".join([k[-1] for k in keys]).translate(dict(enumerate(base)))
 
 
 def bwt(word: str, order: OrderLike = None) -> BwtResult:
@@ -152,14 +159,22 @@ def primitive_root(word: str) -> str:
 
 
 def lyndon_representative(word: str, order: OrderLike = None) -> str:
-    """Least rotation under the letter order."""
+    """Least rotation under the letter order: it starts the last run of equal
+    factors that begins in the first half of the word's square, in Duval's
+    Lyndon factorisation (J. Algorithms 4, 1983); O(n), no rotation strings."""
     if not word:
         raise DomainError("empty word")
     ranks = {ord(ch): i for i, ch in enumerate(_resolve_order(order, word))}
     text, n = word.translate(ranks) * 2, len(word)
-    least = min(text)  # only rotations starting with the least letter compete
-    i = text.find(min([text[i : i + n] for i in range(n) if text[i] == least]))
-    return word[i:] + word[:i]
+    i = start = 0
+    while i < n:
+        start, j, k = i, i + 1, i
+        while j < 2 * n and text[k] <= text[j]:
+            k = i if text[k] < text[j] else k + 1
+            j += 1
+        while i <= k:
+            i += j - k
+    return word[start:] + word[:start]
 
 
 def is_lyndon(word: str, order: OrderLike = None) -> bool:

@@ -4,6 +4,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations, permutations
 from math import isqrt
 
 import pytest
@@ -23,6 +24,7 @@ from ietbwt.iet import (
     diet_to_iet,
     iet_from_json,
 )
+from ietbwt.words import lyndon_representative
 
 from conftest import (
     BAD_PERMUTATIONS,
@@ -486,6 +488,27 @@ class TestDiet:
 
     def test_lyndon_multiset(self, diet421):
         assert diet_lyndon_multiset(diet421) == ("aac", "ab", "ab")
+
+    def test_cycle_words_read_from_least_positions_are_lyndon(self):
+        """Census: every composition with total <= 10 over k = 2-4 letters,
+        every row (identity and reducible ones too), against the sorted
+        lyndon_representative of each cycle's word."""
+        specs = 0
+        for k in (2, 3, 4):
+            letters = "abcd"[:k]
+            for total in range(k, 11):
+                for cuts in combinations(range(1, total), k - 1):
+                    comp = [b - a for a, b in zip((0, *cuts), (*cuts, total))]
+                    for row in permutations(letters):
+                        spec = diet_spec(comp, "".join(row))
+                        text = " " + spec.word()
+                        oracle = sorted(
+                            lyndon_representative("".join(text[i] for i in cyc))
+                            for cyc in diet_action(spec)[1]
+                        )
+                        assert diet_lyndon_multiset(spec) == tuple(oracle), (comp, row)
+                        specs += 1
+        assert specs == 45 * 2 + 120 * 6 + 210 * 24
 
     def test_word(self, diet421):
         assert diet421.word() == "aaaabbc"

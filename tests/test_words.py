@@ -3,6 +3,7 @@
 import itertools
 import os
 import random
+import tracemalloc
 from functools import cmp_to_key
 
 import pytest
@@ -266,6 +267,30 @@ class TestVerdictsFromTheSortedOutput:
         assert words >= 450
 
 
+class TestClusteringIsOneDiscreteCycle:
+    """A Lyndon word w is pi-clustering exactly when the discrete exchange
+    with composition parikh(w) and row pi has w as its only cycle word
+    (Ferenczi and Zamboni, J. Integer Seq. 16, 2013).  This checks the
+    rotation sort against diet_action, with which it shares no code."""
+
+    def test_every_short_lyndon_word_and_row(self):
+        pairs = clustered = 0
+        for letters in ("ab", "abc"):
+            perms = [Perm(letters, row) for row in itertools.permutations(letters)]
+            for n in range(len(letters), 8):
+                for word in map("".join, itertools.product(letters, repeat=n)):
+                    if set(word) != set(letters) or not is_lyndon(word):
+                        continue
+                    composition = parikh(word).values()
+                    for pi in perms:
+                        spec = diet_spec(composition, "".join(pi.images))
+                        single = diet_lyndon_multiset(spec) == (word,)
+                        assert is_pi_clustering(word, pi) == single, (word, pi)
+                        pairs += 1
+                        clustered += single
+        assert (pairs, clustered) == (2406, 91)
+
+
 class TestPrimitivity:
     def test_is_primitive(self):
         assert is_primitive("a")
@@ -287,6 +312,20 @@ class TestPrimitivity:
         assert is_lyndon("aab")
         assert not is_lyndon("aba")
         assert not is_lyndon("abab")
+
+    def test_long_word_in_linear_memory(self):
+        """A 200,000-letter rotation of a single discrete cycle's word, whose
+        Lyndon representative diet_lyndon_multiset reads off directly."""
+        (lyndon,) = diet_lyndon_multiset(diet_spec((70_001, 60_000, 69_999), "cba"))
+        word = lyndon[77_777:] + lyndon[:77_777]
+        tracemalloc.start()
+        try:
+            rep = lyndon_representative(word)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(word) == 200_000 and rep == lyndon
+        assert peak < 50 * 2**20, peak
 
     def test_parikh(self):
         assert parikh("banana") == {"a": 3, "b": 1, "n": 2}
